@@ -4,6 +4,10 @@ A ``Tape`` records operations eagerly as tensors are combined; calling
 ``Tape.backward`` on a scalar output walks the recorded list once in reverse
 and accumulates exact gradients into every reachable ``Parameter``.  One
 backward pass per tape; build a fresh tape for each training step.
+
+Recorded tensors and their tape refer to each other.  ``Tape.backward`` drops
+the recorded list once it has run, so a spent tape and its graph are freed by
+reference counting alone; forward-only code should record no tape at all.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class Tensor:
     arithmetic but receive no gradient.
     """
 
-    __slots__ = ("data", "tape", "param", "grad", "_parents", "_backward")
+    __slots__ = ("data", "tape", "param", "grad", "_backward")
 
     # make numpy defer to the reflected operators instead of broadcasting into
     # an object array
@@ -51,7 +55,6 @@ class Tensor:
         self.tape = tape
         self.param = param
         self.grad = None
-        self._parents = ()
         self._backward = None
         if tape is not None:
             tape._record(self)
@@ -131,8 +134,10 @@ class Tape:
         if self._done:
             raise ContractError("tape already backpropagated; record a fresh tape per step")
         self._done = True
+        # dropping the list breaks the tape <-> tensor cycle
+        nodes, self._nodes = self._nodes, []
         out.grad = np.ones_like(out.data)
-        for t in reversed(self._nodes):
+        for t in reversed(nodes):
             if t.grad is None:
                 continue
             if t._backward is not None:
@@ -170,9 +175,8 @@ def _check_finite(name, data):
     return data
 
 
-def _make(name, data, tape, parents, backward):
+def _make(name, data, tape, backward):
     out = Tensor(_check_finite(name, data), tape=tape)
-    out._parents = parents
     out._backward = backward
     return out
 
@@ -198,7 +202,7 @@ def add(a, b):
         a._accumulate(_unbroadcast(g, a.shape))
         b._accumulate(_unbroadcast(g, b.shape))
 
-    return _make("add", a.data + b.data, tape, (a, b), backward)
+    return _make("add", a.data + b.data, tape, backward)
 
 
 def sub(a, b):
@@ -208,7 +212,7 @@ def sub(a, b):
         a._accumulate(_unbroadcast(g, a.shape))
         b._accumulate(-_unbroadcast(g, b.shape))
 
-    return _make("sub", a.data - b.data, tape, (a, b), backward)
+    return _make("sub", a.data - b.data, tape, backward)
 
 
 def mul(a, b):
@@ -218,7 +222,7 @@ def mul(a, b):
         a._accumulate(_unbroadcast(g * b.data, a.shape))
         b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    return _make("mul", a.data * b.data, tape, (a, b), backward)
+    return _make("mul", a.data * b.data, tape, backward)
 
 
 def div(a, b):
@@ -228,7 +232,7 @@ def div(a, b):
         a._accumulate(_unbroadcast(g / b.data, a.shape))
         b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return _make("div", a.data / b.data, tape, (a, b), backward)
+    return _make("div", a.data / b.data, tape, backward)
 
 
 def matmul(a, b):
@@ -241,7 +245,7 @@ def matmul(a, b):
         a._accumulate(g @ b.data.T)
         b._accumulate(a.data.T @ g)
 
-    return _make("matmul", a.data @ b.data, tape, (a, b), backward)
+    return _make("matmul", a.data @ b.data, tape, backward)
 
 
 def pow_const(x, c: float):
@@ -251,7 +255,7 @@ def pow_const(x, c: float):
     def backward(g):
         x._accumulate(g * c * np.power(x.data, c - 1.0))
 
-    return _make("pow", np.power(x.data, c), tape, (x,), backward)
+    return _make("pow", np.power(x.data, c), tape, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +269,7 @@ def relu(x):
     def backward(g):
         x._accumulate(g * mask)
 
-    return _make("relu", x.data * mask, tape, (x,), backward)
+    return _make("relu", x.data * mask, tape, backward)
 
 
 def sigmoid(x):
@@ -278,7 +282,7 @@ def sigmoid(x):
     def backward(g):
         x._accumulate(g * out * (1.0 - out))
 
-    return _make("sigmoid", out, tape, (x,), backward)
+    return _make("sigmoid", out, tape, backward)
 
 
 def softmax(x):
@@ -292,7 +296,7 @@ def softmax(x):
         dot = (g * p).sum(axis=-1, keepdims=True)
         x._accumulate(p * (g - dot))
 
-    return _make("softmax", p, tape, (x,), backward)
+    return _make("softmax", p, tape, backward)
 
 
 def log(x):
@@ -301,7 +305,7 @@ def log(x):
     def backward(g):
         x._accumulate(g / x.data)
 
-    return _make("log", np.log(x.data), tape, (x,), backward)
+    return _make("log", np.log(x.data), tape, backward)
 
 
 def clamp(x, lo=None, hi=None):
@@ -316,7 +320,7 @@ def clamp(x, lo=None, hi=None):
     def backward(g):
         x._accumulate(g * inside)
 
-    return _make("clamp", np.clip(x.data, lo, hi), tape, (x,), backward)
+    return _make("clamp", np.clip(x.data, lo, hi), tape, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,7 @@ def tsum(x, axis=None, keepdims=False):
             gg = g if keepdims else np.expand_dims(g, axis)
             x._accumulate(np.broadcast_to(gg, x.shape).copy())
 
-    return _make("sum", x.data.sum(axis=axis, keepdims=keepdims), tape, (x,), backward)
+    return _make("sum", x.data.sum(axis=axis, keepdims=keepdims), tape, backward)
 
 
 def tmean(x, axis=None, keepdims=False):
@@ -348,7 +352,32 @@ def tmean(x, axis=None, keepdims=False):
             gg = g if keepdims else np.expand_dims(g, axis)
             x._accumulate(np.broadcast_to(gg / n, x.shape).copy())
 
-    return _make("mean", x.data.mean(axis=axis, keepdims=keepdims), tape, (x,), backward)
+    return _make("mean", x.data.mean(axis=axis, keepdims=keepdims), tape, backward)
+
+
+def ordered_sum(x, keep=None):
+    """Sum the kept entries of a 1-D tensor one by one, left to right.
+
+    Unlike ``tsum`` (NumPy's pairwise summation) the order is fixed by the
+    index, so the result equals a chain of ``add`` nodes bit for bit.
+    ``keep`` is a boolean mask selecting at least one entry; None keeps all.
+    """
+    x, _, tape = _coerce(x, 0.0)
+    if x.data.ndim != 1:
+        raise ShapeMismatch("ordered_sum expects a 1-D tensor, got %s" % (x.shape,))
+    keep = np.ones(x.shape, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
+    if keep.shape != x.shape or not keep.any():
+        raise ContractError("ordered_sum needs a mask of shape %s keeping an entry"
+                            % (x.shape,))
+    first, *rest = x.data[keep].tolist()
+    total = first
+    for v in rest:
+        total = total + v
+
+    def backward(g):
+        x._accumulate(g * keep)
+
+    return _make("ordered_sum", np.float64(total), tape, backward)
 
 
 def take_rows(x, idx):
@@ -361,7 +390,7 @@ def take_rows(x, idx):
         np.add.at(full, idx, g)
         x._accumulate(full)
 
-    return _make("take_rows", x.data[idx], tape, (x,), backward)
+    return _make("take_rows", x.data[idx], tape, backward)
 
 
 def column(x, k: int):
@@ -375,7 +404,7 @@ def column(x, k: int):
         full[:, k] = g
         x._accumulate(full)
 
-    return _make("column", x.data[:, k].copy(), tape, (x,), backward)
+    return _make("column", x.data[:, k].copy(), tape, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +420,7 @@ def grad_reverse(x, lam: float):
     def backward(g):
         x._accumulate(-lam * g)
 
-    return _make("grad_reverse", x.data.copy(), tape, (x,), backward)
+    return _make("grad_reverse", x.data.copy(), tape, backward)
 
 
 def outer_flatten(u, v):
@@ -419,9 +448,4 @@ def outer_flatten(u, v):
         u._accumulate(du)
         v._accumulate(dv)
 
-    return _make("outer_flatten", out[0] if squeeze else out, tape, (u, v), backward)
-
-
-def detach(x: Tensor) -> Tensor:
-    """A constant copy: same values, no gradient path."""
-    return Tensor(x.data.copy())
+    return _make("outer_flatten", out[0] if squeeze else out, tape, backward)

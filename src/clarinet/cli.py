@@ -4,7 +4,8 @@ experiments across variants and seeds, ``verify`` the math oracles, and
 
 Precedence is flags > config file > defaults; every output embeds the fully
 resolved configuration so a run is reproducible from its artifacts alone.
-Exit codes: 0 success, 1 verification/assertion failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification/assertion failure, 2 usage or config error
+or a diverged (non-finite) run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .complabel import ComplementaryDataset
 from .data import (LabeledDataset, SyntheticPairConfig, UnlabeledDataset,
                    load_idx, make_synthetic_pair, read_csv, write_csv)
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, NonFiniteValue
 from .models import load_checkpoint, save_checkpoint
 from .train import (TrainConfig, evaluate, train_variant, write_metrics_csv)
 from .verify import report_json, run_suite
@@ -41,15 +42,21 @@ def _load_config(path):
 
 
 def _resolve(config_file, args, keys):
-    """flags > config file > defaults, annotating where each value came from."""
+    """flags > config file > defaults; a config key outside TRAIN_DEFAULTS and
+    ``task`` is an error rather than silently ignored."""
+    known = set(TRAIN_DEFAULTS) | {"task"}
+    if not isinstance(config_file, dict):
+        raise ContractError("config file must hold a JSON object")
+    unknown = sorted(set(config_file) - known)
+    if unknown:
+        raise ContractError("unknown config keys %s; known keys are %s"
+                            % (", ".join(unknown), ", ".join(sorted(known))))
     resolved = dict(TRAIN_DEFAULTS)
-    resolved.update({k: v for k, v in config_file.items() if k in resolved or k == "task"})
+    resolved.update(config_file)
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None and val != []:
             resolved[key] = val
-    if "task" in config_file and "task" not in resolved:
-        resolved["task"] = config_file["task"]
     env_seed = os.environ.get("CLARINET_SEED")
     if not resolved.get("seeds") and env_seed is not None:
         resolved["seeds"] = [int(env_seed)]
@@ -275,6 +282,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ContractError, FormatError, FileNotFoundError, KeyError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return 2
+    except NonFiniteValue as exc:
+        print("run diverged: %s" % exc, file=sys.stderr)
         return 2
 
 

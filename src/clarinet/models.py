@@ -47,11 +47,14 @@ class Network:
     def parameters(self) -> list[Parameter]:
         return self.weights + self.biases
 
-    def forward(self, tape: Tape, x: Tensor) -> Tensor:
+    def forward(self, tape: Tape | None, x: Tensor) -> Tensor:
+        """Record the pass on ``tape``; with ``tape=None`` the parameters enter
+        as constants and nothing is recorded (inference)."""
+        leaf = tape.leaf if tape is not None else (lambda p: Tensor(p.value))
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ tape.leaf(w) + tape.leaf(b)
+            h = h @ leaf(w) + leaf(b)
             if i < last:
                 h = ad.relu(h)
         if self.spec.head == "softmax":
@@ -59,10 +62,6 @@ class Network:
         elif self.spec.head == "sigmoid":
             h = ad.sigmoid(h)
         return h
-
-    def forward_values(self, x: np.ndarray) -> np.ndarray:
-        """Inference-only forward on plain arrays (own throwaway tape)."""
-        return self.forward(Tape(), Tensor(np.atleast_2d(x))).data
 
 
 @dataclass
@@ -126,8 +125,7 @@ def conditional_feature(g: Tensor, f: Tensor, l: float) -> Tensor:
 def predict(triplet: NetworkTriplet, features: np.ndarray) -> np.ndarray:
     """Class probabilities from F(G(x)); rows on the simplex."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    tape = Tape()
-    return triplet.F.forward(tape, triplet.G.forward(tape, Tensor(x))).data
+    return triplet.F.forward(None, triplet.G.forward(None, Tensor(x))).data
 
 
 def pseudo_label(triplet: NetworkTriplet, features: np.ndarray) -> np.ndarray:

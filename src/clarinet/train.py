@@ -10,7 +10,7 @@ import csv
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -365,7 +365,3 @@ def write_metrics_csv(path, records):
             w.writerow([r.epoch, "%.17g" % r.comp_loss, "%.17g" % r.l_neg,
                         r.ascent_steps, "%.17g" % r.adv_loss, "%.17g" % r.lam,
                         "%.17g" % r.target_acc, "%.6f" % r.seconds])
-
-
-def records_as_dicts(records):
-    return [asdict(r) for r in records]

@@ -133,8 +133,7 @@ def _check_graph(build, x0) -> float:
     """Gradient-check one scalar graph ``build(x_tensor) -> scalar tensor``."""
 
     def value(x):
-        tape = Tape()
-        return build(Tensor(x, tape=tape)).item()
+        return build(Tensor(x)).item()
 
     tape = Tape()
     xt = Tensor(x0, tape=tape)
@@ -169,6 +168,7 @@ def gradcheck_suite(seed: int = 0) -> dict:
         "pow": (np.abs(x) + 0.5, lambda t: ad.tsum(ad.pow_const(t, 1.7))),
         "mean": (x, lambda t: ad.tmean(t * a)),
         "take_rows": (x, lambda t: ad.tsum(ad.take_rows(t, [0, 2, 0]) * 1.3)),
+        "ordered_sum": (x[0], lambda t: ad.ordered_sum(t * a[0], [True, False, True, True])),
         "column": (x, lambda t: ad.tsum(ad.column(t, 1) * 1.5)),
         "outer_flatten": (x[:, :2] + 1.0,
                           lambda t: ad.tsum(ad.outer_flatten(t, Tensor(v)) * w[:, :4])),

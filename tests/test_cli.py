@@ -121,6 +121,24 @@ class TestTrain:
         path.write_text(json.dumps({"epochs": 1}))
         assert main(["train", "--config", str(path)]) == 2
 
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        # a misspelt "epochs" must not fall back to the 100-epoch default
+        cfg = write_config(tmp_path, epoch=5)
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys epoch;" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_run_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, gamma1=1e300)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "run diverged: epoch 1 iteration" in err
+        assert "non-finite" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_passing_suite_exits_0(self, tmp_path, capsys):
