@@ -8,6 +8,17 @@ backward pass per tape; build a fresh tape for each training step.
 Recorded tensors and their tape refer to each other.  ``Tape.backward`` drops
 the recorded list once it has run, so a spent tape and its graph are freed by
 reference counting alone; forward-only code should record no tape at all.
+
+Gradient contract:
+
+- a constant operand (``tape is None``) gets no gradient computed: every
+  backward tests ``operand.tape`` before forming that operand's term, and
+  ``Tensor._accumulate`` ignores constants as a backstop;
+- a tensor's first gradient is ``g + 0.0``, a fresh array that maps -0.0 to
+  +0.0 as a zero-filled buffer plus ``g`` would;
+- every later contribution is added out of place, ``grad = grad + g``, so an
+  array handed to two parents (``_unbroadcast`` may return a view of the
+  upstream gradient) is never mutated.
 """
 
 from __future__ import annotations
@@ -71,8 +82,9 @@ class Tensor:
         if self.tape is None:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g + 0.0
+        else:
+            self.grad = self.grad + g
 
     # operator sugar; mixed operands are promoted to constants
     def __add__(self, other):
@@ -158,19 +170,24 @@ def gradients(tape: Tape, out: Tensor, params) -> dict:
 # op plumbing
 
 
-def _coerce(a, b):
-    """Promote plain arrays/scalars to constant tensors; find the common tape."""
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
-    if a.tape is not None and b.tape is not None and a.tape is not b.tape:
-        raise ContractError("operands recorded on different tapes")
-    return a, b, (a.tape or b.tape)
+def _coerce(*operands):
+    """Promote plain arrays/scalars to constant tensors; find the common tape.
+
+    Returns the operands as tensors followed by the tape (None when every
+    operand is a constant).
+    """
+    tensors = [x if isinstance(x, Tensor) else Tensor(x) for x in operands]
+    tape = None
+    for t in tensors:
+        if t.tape is not None:
+            if tape is not None and t.tape is not tape:
+                raise ContractError("operands recorded on different tapes")
+            tape = t.tape
+    return (*tensors, tape)
 
 
 def _check_finite(name, data):
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteValue("%s produced a non-finite value" % name)
     return data
 
@@ -199,8 +216,10 @@ def add(a, b):
     a, b, tape = _coerce(a, b)
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
+        if a.tape is not None:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.tape is not None:
+            b._accumulate(_unbroadcast(g, b.shape))
 
     return _make("add", a.data + b.data, tape, backward)
 
@@ -209,8 +228,10 @@ def sub(a, b):
     a, b, tape = _coerce(a, b)
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(-_unbroadcast(g, b.shape))
+        if a.tape is not None:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.tape is not None:
+            b._accumulate(-_unbroadcast(g, b.shape))
 
     return _make("sub", a.data - b.data, tape, backward)
 
@@ -219,8 +240,10 @@ def mul(a, b):
     a, b, tape = _coerce(a, b)
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if a.tape is not None:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.tape is not None:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make("mul", a.data * b.data, tape, backward)
 
@@ -229,27 +252,48 @@ def div(a, b):
     a, b, tape = _coerce(a, b)
 
     def backward(g):
-        a._accumulate(_unbroadcast(g / b.data, a.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.tape is not None:
+            a._accumulate(_unbroadcast(g / b.data, a.shape))
+        if b.tape is not None:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make("div", a.data / b.data, tape, backward)
 
 
-def matmul(a, b):
-    a, b, tape = _coerce(a, b)
+def matmul(a, b, bias=None):
+    """``a @ b``, plus ``bias`` broadcast over the rows when given.
+
+    The bias is added in place to the product, the same IEEE operation as a
+    separate ``add`` node, so an affine layer is one node.
+    """
+    if bias is None:
+        a, b, tape = _coerce(a, b)
+    else:
+        a, b, bias, tape = _coerce(a, b, bias)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch("matmul expects conforming 2-D operands, got %s and %s"
                             % (a.shape, b.shape))
+    out = a.data @ b.data
+    if bias is not None:
+        try:
+            out += bias.data
+        except ValueError:
+            raise ShapeMismatch("matmul bias %s does not broadcast to %s"
+                                % (bias.shape, out.shape)) from None
 
     def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        if a.tape is not None:
+            a._accumulate(g @ b.data.T)
+        if b.tape is not None:
+            b._accumulate(a.data.T @ g)
+        if bias is not None and bias.tape is not None:
+            bias._accumulate(_unbroadcast(g, bias.shape))
 
-    return _make("matmul", a.data @ b.data, tape, backward)
+    return _make("matmul", out, tape, backward)
 
 
 def pow_const(x, c: float):
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
     c = float(c)
 
     def backward(g):
@@ -263,7 +307,7 @@ def pow_const(x, c: float):
 
 
 def relu(x):
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
     mask = x.data > 0.0
 
     def backward(g):
@@ -273,7 +317,7 @@ def relu(x):
 
 
 def sigmoid(x):
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
     # stable in both tails
     out = np.where(x.data >= 0,
                    1.0 / (1.0 + np.exp(-np.abs(x.data))),
@@ -287,7 +331,7 @@ def sigmoid(x):
 
 def softmax(x):
     """Row-wise softmax via the log-sum-exp shift; rows land on the simplex."""
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
@@ -300,7 +344,7 @@ def softmax(x):
 
 
 def log(x):
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
 
     def backward(g):
         x._accumulate(g / x.data)
@@ -310,7 +354,7 @@ def log(x):
 
 def clamp(x, lo=None, hi=None):
     """Clip values; gradient flows only where the input was inside the range."""
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
     inside = np.ones_like(x.data, dtype=bool)
     if lo is not None:
         inside &= x.data >= lo
@@ -328,7 +372,7 @@ def clamp(x, lo=None, hi=None):
 
 
 def tsum(x, axis=None, keepdims=False):
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
 
     def backward(g):
         if axis is None:
@@ -342,7 +386,7 @@ def tsum(x, axis=None, keepdims=False):
 
 
 def tmean(x, axis=None, keepdims=False):
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
     n = x.data.size if axis is None else x.data.shape[axis]
 
     def backward(g):
@@ -362,7 +406,7 @@ def ordered_sum(x, keep=None):
     index, so the result equals a chain of ``add`` nodes bit for bit.
     ``keep`` is a boolean mask selecting at least one entry; None keeps all.
     """
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
     if x.data.ndim != 1:
         raise ShapeMismatch("ordered_sum expects a 1-D tensor, got %s" % (x.shape,))
     keep = np.ones(x.shape, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
@@ -382,7 +426,7 @@ def ordered_sum(x, keep=None):
 
 def take_rows(x, idx):
     """Select rows by index; backward scatter-adds into the source rows."""
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
     idx = np.asarray(idx, dtype=np.intp)
 
     def backward(g):
@@ -395,7 +439,7 @@ def take_rows(x, idx):
 
 def column(x, k: int):
     """Select one column of a 2-D tensor as a 1-D tensor."""
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
     if x.data.ndim != 2:
         raise ShapeMismatch("column expects a 2-D tensor, got %s" % (x.shape,))
 
@@ -415,12 +459,13 @@ def grad_reverse(x, lam: float):
     """Identity forward; backward multiplies the upstream gradient by -lam."""
     if lam < 0:
         raise ContractError("grad_reverse expects lam >= 0, got %r" % lam)
-    x, _, tape = _coerce(x, 0.0)
+    x, tape = _coerce(x)
 
     def backward(g):
         x._accumulate(-lam * g)
 
-    return _make("grad_reverse", x.data.copy(), tape, backward)
+    # no op mutates its input, so the output may share the input's array
+    return _make("grad_reverse", x.data, tape, backward)
 
 
 def outer_flatten(u, v):
@@ -441,11 +486,11 @@ def outer_flatten(u, v):
 
     def backward(g):
         g3 = g.reshape(n, d, k)
-        du = np.einsum("ndk,nk->nd", g3, vd)
-        dv = np.einsum("ndk,nd->nk", g3, ud)
-        if squeeze:
-            du, dv = du[0], dv[0]
-        u._accumulate(du)
-        v._accumulate(dv)
+        if u.tape is not None:
+            du = np.einsum("ndk,nk->nd", g3, vd)
+            u._accumulate(du[0] if squeeze else du)
+        if v.tape is not None:
+            dv = np.einsum("ndk,nd->nk", g3, ud)
+            v._accumulate(dv[0] if squeeze else dv)
 
     return _make("outer_flatten", out[0] if squeeze else out, tape, backward)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -41,9 +42,49 @@ def _load_config(path):
         return json.load(fh)
 
 
+def _env_seed():
+    """The CLARINET_SEED environment variable as an int, 0 when unset."""
+    raw = os.environ.get("CLARINET_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ContractError("CLARINET_SEED must be an integer, got %r" % raw) from None
+
+
+def _require_task(task):
+    if not isinstance(task, dict):
+        raise ContractError("config needs a 'task' object, got %r" % (task,))
+    return task
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_value(key, value):
+    """A resolved value must have its default's type; an int may stand for a
+    float.  Seeds are a non-empty list of ints."""
+    default = TRAIN_DEFAULTS[key]
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = _is_int(value), "an integer"
+    elif isinstance(default, float):
+        ok = _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+        kind = "a finite number"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    else:
+        ok = isinstance(value, list) and bool(value) and all(map(_is_int, value))
+        kind = "a non-empty list of integers"
+    if not ok:
+        raise ContractError("config key %s must be %s, got %r" % (key, kind, value))
+
+
 def _resolve(config_file, args, keys):
     """flags > config file > defaults; a config key outside TRAIN_DEFAULTS and
-    ``task`` is an error rather than silently ignored."""
+    ``task`` is an error rather than silently ignored, and so is a value of
+    the wrong type."""
     known = set(TRAIN_DEFAULTS) | {"task"}
     if not isinstance(config_file, dict):
         raise ContractError("config file must hold a JSON object")
@@ -57,9 +98,8 @@ def _resolve(config_file, args, keys):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None and val != []:
             resolved[key] = val
-    env_seed = os.environ.get("CLARINET_SEED")
-    if not resolved.get("seeds") and env_seed is not None:
-        resolved["seeds"] = [int(env_seed)]
+    for key in TRAIN_DEFAULTS:
+        _check_value(key, resolved[key])
     return resolved
 
 
@@ -80,8 +120,6 @@ def _train_config(resolved, seed) -> TrainConfig:
 
 def _load_task(task, seed):
     """Returns (source ComplementaryDataset, target UnlabeledDataset, eval LabeledDataset)."""
-    if task is None:
-        raise ContractError("config needs a 'task' entry")
     kind = task.get("type")
     if kind == "synthetic":
         cfg = SyntheticPairConfig(
@@ -124,19 +162,21 @@ def _load_task(task, seed):
 
 def cmd_prepare(args):
     config = _load_config(args.config)
-    task = config.get("task")
-    seed = args.seed[0] if args.seed else int(os.environ.get("CLARINET_SEED", 0))
+    if not isinstance(config, dict):
+        raise ContractError("config file must hold a JSON object")
+    task = _require_task(config.get("task"))
+    seed = args.seed[0] if args.seed else _env_seed()
     out = Path(args.out or config.get("out", "prepared"))
     out.mkdir(parents=True, exist_ok=True)
 
-    if task["type"] == "synthetic":
+    if task.get("type") == "synthetic":
         cfg = SyntheticPairConfig(
             K=task.get("K", 4), n_per_domain=task.get("n_per_domain", 2000),
             spread=task.get("spread", 0.3), rotation_deg=task.get("rotation_deg", 30.0),
             translation=tuple(task.get("translation", (0.0, 0.0))),
             radius=task.get("radius", 2.0), seed=task.get("seed", 0))
         src, tgt = make_synthetic_pair(cfg)
-    elif task["type"] == "idx":
+    elif task.get("type") == "idx":
         src = load_idx(task["source_images"], task["source_labels"])
         tgt = load_idx(task["target_images"], task["target_labels"])
     else:
@@ -166,7 +206,7 @@ def cmd_train(args):
                         ["variant", "out", "l", "ts", "epochs", "batch"])
     if args.seed:
         resolved["seeds"] = args.seed
-    task = resolved.get("task")
+    task = _require_task(resolved.get("task"))
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
 
@@ -211,7 +251,7 @@ def cmd_train(args):
 
 
 def cmd_verify(args):
-    seed = args.seed[0] if args.seed else int(os.environ.get("CLARINET_SEED", 0))
+    seed = args.seed[0] if args.seed else _env_seed()
     report = run_suite(args.suite, seed=seed)
     text = report_json(report)
     print(text)

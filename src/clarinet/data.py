@@ -171,11 +171,19 @@ def write_csv(path, features: np.ndarray, labels=None):
 
 
 def read_csv(path):
+    """Features and integer labels (None without a label column); a label that
+    is not a whole number is a FormatError, never truncated."""
     body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     if header[-1] == "label":
-        return body[:, :-1], body[:, -1].astype(np.int64)
+        labels = body[:, -1]
+        bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.trunc(labels))))
+        if bad.size:
+            row = bad[0]
+            raise FormatError("%s: data row %d has non-integer label %r"
+                              % (path, row + 1, float(labels[row])))
+        return body[:, :-1], labels.astype(np.int64)
     return body, None
 
 

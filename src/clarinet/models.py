@@ -54,7 +54,7 @@ class Network:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ leaf(w) + leaf(b)
+            h = ad.matmul(h, leaf(w), leaf(b))
             if i < last:
                 h = ad.relu(h)
         if self.spec.head == "softmax":

@@ -21,8 +21,8 @@ from .data import LabeledDataset, UnlabeledDataset, batches
 from .errors import ContractError, NonFiniteValue
 from .losses import (adversarial_loss, cross_entropy_to_class, entropy_weight,
                      scatter_map, total_comp_loss)
-from .models import (NetworkTriplet, build_triplet, conditional_feature,
-                     default_specs, predict, pseudo_label)
+from .models import (NetworkTriplet, build_triplet, default_specs, predict,
+                     pseudo_label)
 
 VARIANTS = ("clarinet", "gac", "two-step", "ablation-ce", "ablation-no-t")
 
@@ -88,14 +88,20 @@ def sgd_step(params, lr: float, momentum: float = 0.0, weight_decay: float = 0.0
     Ascent negates the gradient before the update (weight decay still pulls
     toward zero).
     """
-    sign = -1.0 if ascend else 1.0
     for p in params:
         if p.grad.shape != p.value.shape:
             raise ContractError("gradient shape %s != parameter shape %s"
                                 % (p.grad.shape, p.value.shape))
+        # one work buffer per parameter; grad + s and s - grad round exactly
+        # as +-1.0*grad + s, and m*lr as lr*m
+        step = p.value * weight_decay
+        if ascend:
+            np.subtract(step, p.grad, out=step)
+        else:
+            np.add(p.grad, step, out=step)
         p.momentum *= momentum
-        p.momentum += sign * p.grad + weight_decay * p.value
-        p.value -= lr * p.momentum
+        p.momentum += step
+        p.value -= np.multiply(p.momentum, lr, out=step)
 
 
 def lambda_schedule(p: float, gain: float = 10.0) -> float:
@@ -174,10 +180,13 @@ def _adversarial_step(triplet, src_feats, tgt_feats, lam, config, conditional=Tr
         l_eff = 1.0 if config.variant == "ablation-no-t" else config.l
         fs = triplet.F.forward(tape, gs)
         ft = triplet.F.forward(tape, gt)
-        feat_s = conditional_feature(gs, fs, l_eff)
-        feat_t = conditional_feature(gt, ft, l_eff)
-        _, w_s = entropy_weight(scatter_map(Tensor(fs.data.copy()), l_eff).data)
-        _, w_t = entropy_weight(scatter_map(Tensor(ft.data.copy()), l_eff).data)
+        # the mapped predictions feed both the conditioning and the weights
+        mapped_s = scatter_map(fs, l_eff)
+        feat_s = ad.outer_flatten(gs, mapped_s)
+        mapped_t = scatter_map(ft, l_eff)
+        feat_t = ad.outer_flatten(gt, mapped_t)
+        _, w_s = entropy_weight(mapped_s.data)
+        _, w_t = entropy_weight(mapped_t.data)
     else:
         feat_s, feat_t = gs, gt
         w_s = np.ones(len(src_feats))

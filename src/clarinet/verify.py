@@ -161,6 +161,11 @@ def gradcheck_suite(seed: int = 0) -> dict:
         "mul": (x, lambda t: ad.tsum(t * a)),
         "div": (x + 3.0, lambda t: ad.tsum(a / t)),
         "matmul": (x, lambda t: ad.tsum(t @ Tensor(b))),
+        # the affine form, one operand differentiated at a time: the other
+        # two are constants and get no gradient computed
+        "matmul_bias_x": (x, lambda t: ad.tsum(ad.matmul(t, b, v[0]) * v)),
+        "matmul_bias_w": (b, lambda t: ad.tsum(ad.matmul(x, t, v[0]) * v)),
+        "matmul_bias_b": (v[0], lambda t: ad.tsum(ad.matmul(x, b, t) * v)),
         "relu": (x + 0.05, lambda t: ad.tsum(ad.relu(t))),
         "sigmoid": (x, lambda t: ad.tsum(ad.sigmoid(t) * a)),
         "softmax": (x, lambda t: ad.tsum(ad.softmax(t) * a)),

@@ -116,6 +116,80 @@ class TestBackward:
             a + b
 
 
+class TestGradientRules:
+    def test_constant_operands_get_no_gradient_computed(self, monkeypatch):
+        received = []
+        accumulate = Tensor._accumulate
+
+        def spy(self, g):
+            received.append(self)
+            accumulate(self, g)
+
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        rng = np.random.default_rng(0)
+        tape = Tape()
+        x = Tensor(rng.normal(size=(3, 2)), tape=tape)
+        w = Tensor(rng.normal(size=(2, 2)), tape=tape)
+        c = Tensor(rng.normal(size=(3, 2)) + 3.0)
+        cw = Tensor(rng.normal(size=(2, 2)))
+        cb = Tensor(rng.normal(size=2))
+        terms = [x + c, c + x, x - c, c - x, x * c, c * x, x / c, c / x,
+                 ad.matmul(x, cw, cb), ad.matmul(c, w), ad.matmul(c, w, cb),
+                 ad.outer_flatten(x, c), ad.outer_flatten(c, x)]
+        out = ad.tsum(terms[0])
+        for t in terms[1:]:
+            out = out + ad.tsum(t)
+        tape.backward(out)
+        assert all(t.tape is not None for t in received)
+        assert c.grad is None and cw.grad is None and cb.grad is None
+        assert x.grad is not None and w.grad is not None
+
+    def test_self_add_doubles_and_leaves_the_parent_gradient(self):
+        tape = Tape()
+        x = Tensor([1.0, -2.0, 0.5], tape=tape)
+        upstream = np.array([0.25, -3.0, 7.0])
+        y = x + x
+        tape.backward(ad.tsum(y * upstream))
+        assert np.array_equal(x.grad, 2.0 * upstream)
+        assert np.array_equal(y.grad, upstream)
+
+    def test_fan_out_doubles_and_leaves_both_parent_gradients(self):
+        tape = Tape()
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]], tape=tape)
+        upstream = np.array([[0.5, -1.5], [2.0, 0.125]])
+        y1 = x + 1.0
+        y2 = x + np.ones(2)
+        tape.backward(ad.tsum(y1 * upstream) + ad.tsum(y2 * upstream))
+        assert np.array_equal(x.grad, 2.0 * upstream)
+        assert np.array_equal(y1.grad, upstream)
+        assert np.array_equal(y2.grad, upstream)
+
+    def test_first_gradient_is_a_positive_zero(self):
+        tape = Tape()
+        x = Tensor([1.0, 2.0], tape=tape)
+        tape.backward(ad.tsum(x * -0.0))
+        assert np.array_equal(x.grad, [0.0, 0.0])
+        assert not np.signbit(x.grad).any()
+
+    def test_bias_matmul_equals_matmul_then_add_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        x0, w0, b0 = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        upstream = rng.normal(size=(5, 4))
+        results = []
+        for fused in (True, False):
+            tape = Tape()
+            x, w, b = (Tensor(v, tape=tape) for v in (x0, w0, b0))
+            out = ad.matmul(x, w, b) if fused else x @ w + b
+            tape.backward(ad.tsum(out * upstream))
+            results.append((out.data, x.grad, w.grad, b.grad))
+        for fused, plain in zip(*results):
+            assert np.array_equal(fused, plain)
+
+    def test_bias_that_does_not_broadcast_is_rejected(self):
+        with pytest.raises(ShapeMismatch, match=r"\(3,\).*\(2, 4\)"):
+            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+
+
 class TestOrderedSum:
     def test_matches_an_add_chain_bit_for_bit(self):
         v = np.random.default_rng(5).normal(size=10)

@@ -54,6 +54,23 @@ class TestPrepare:
         assert (a / "target.csv").read_bytes() == (b / "target.csv").read_bytes()
 
 
+    def test_missing_task_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epochs": 1}))
+        out = tmp_path / "prepared"
+        assert main(["prepare", "--config", str(path), "--out", str(out)]) == 2
+        assert "config needs a 'task' object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["prepare", "verify"])
+    def test_non_integer_env_seed_exits_2(self, tmp_path, capsys, monkeypatch, verb):
+        monkeypatch.setenv("CLARINET_SEED", "seven")
+        argv = (["prepare", "--config", str(write_config(tmp_path)),
+                 "--out", str(tmp_path / "p")] if verb == "prepare" else ["verify", "tmap"])
+        assert main(argv) == 2
+        assert "CLARINET_SEED must be an integer, got 'seven'" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_per_seed_artifacts_and_aggregate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seeds=[0, 1, 2])
@@ -129,6 +146,37 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "unknown config keys epoch;" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("gamma1", "fast", "a finite number"),
+        ("l", float("nan"), "a finite number"),
+        ("epochs", 2.5, "an integer"),
+        ("batch", True, "an integer"),
+        ("correction_enabled", "no", "true or false"),
+        ("seeds", [0, "1"], "a non-empty list of integers"),
+        ("seeds", [], "a non-empty list of integers"),
+    ])
+    def test_wrong_value_type_exits_2(self, tmp_path, capsys, key, value, kind):
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config key %s must be %s, got %r" % (key, kind, value) in err
+        assert not out.exists()
+
+    def test_int_for_a_float_key_is_legal(self, tmp_path):
+        cfg = write_config(tmp_path, l=1, weight_decay=0)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+
+    def test_env_seed_does_not_reach_train(self, tmp_path, monkeypatch):
+        # seeds default to [0], so training never reads CLARINET_SEED
+        monkeypatch.setenv("CLARINET_SEED", "seven")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": SMALL_TASK, "epochs": 2, "ts": 1,
+                                   "batch": 64, "hidden": 16, "d_g": 8}))
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "clarinet_seed0.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverging_run_exits_2(self, tmp_path, capsys):

@@ -148,6 +148,15 @@ class TestCsv:
         assert rl is None
 
 
+    @pytest.mark.parametrize("bad", ["2.7", "nan", "inf"])
+    def test_non_integer_label_rejected(self, tmp_path, bad):
+        path = tmp_path / "data.csv"
+        path.write_text("x0,x1,label\n0.5,1.0,1\n0.25,2.0,%s\n" % bad)
+        with pytest.raises(FormatError, match=r"data row 2 has non-integer label %s"
+                           % bad):
+            read_csv(path)
+
+
 def test_target_labels_hidden_from_training_view():
     cfg = SyntheticPairConfig(K=3, n_per_domain=50, seed=0)
     _, tgt = make_synthetic_pair(cfg)

@@ -58,6 +58,25 @@ class TestSgd:
         sgd_step([p], lr=0.5, ascend=True)
         assert p.value[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("ascend", [False, True])
+    def test_in_place_update_matches_the_plain_expression(self, ascend):
+        rng = np.random.default_rng(4)
+        value = rng.normal(size=(6, 5))
+        value[0, :2] = (0.0, -0.0)
+        p = Parameter(value.copy())
+        momentum = np.zeros_like(value)
+        for step in range(4):
+            grad = rng.normal(size=value.shape)
+            grad[1, :3] = (0.0, -0.0, -0.0)
+            p.grad = grad.copy()
+            sgd_step([p], lr=0.05, momentum=0.9, weight_decay=5e-5, ascend=ascend)
+            sign = -1.0 if ascend else 1.0
+            momentum = momentum * 0.9 + (sign * grad + 5e-5 * value)
+            value = value - 0.05 * momentum
+            assert np.array_equal(p.momentum, momentum), step
+            assert np.array_equal(p.value, value), step
+            assert np.array_equal(np.signbit(p.value), np.signbit(value)), step
+
     def test_shape_mismatch(self):
         p = Parameter([1.0, 2.0])
         p.grad = np.zeros(3)
