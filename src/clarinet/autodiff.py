@@ -16,6 +16,11 @@ Gradient contract:
   ``Tensor._accumulate`` ignores constants as a backstop;
 - a tensor's first gradient is ``g + 0.0``, a fresh array that maps -0.0 to
   +0.0 as a zero-filled buffer plus ``g`` would;
+- an op that has just created ``g`` for one operand, and holds no other
+  reference to it, passes ``owned=True``: the first gradient is then
+  ``np.add(g, 0.0, out=g)``, the same bits without the copy.  Anything that
+  may alias (the upstream gradient itself, or a view of it from
+  ``_unbroadcast``) is not owned;
 - every later contribution is added out of place, ``grad = grad + g``, so an
   array handed to two parents (``_unbroadcast`` may return a view of the
   upstream gradient) is never mutated.
@@ -78,11 +83,15 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned=False):
         if self.tape is None:
             return
         if self.grad is None:
-            self.grad = g + 0.0
+            # a 0-d result of NumPy arithmetic is a scalar, which has no buffer
+            if owned and isinstance(g, np.ndarray):
+                self.grad = np.add(g, 0.0, out=g)
+            else:
+                self.grad = g + 0.0
         else:
             self.grad = self.grad + g
 
@@ -283,9 +292,11 @@ def matmul(a, b, bias=None):
 
     def backward(g):
         if a.tape is not None:
-            a._accumulate(g @ b.data.T)
+            # with one inner term each entry is a single product; after the
+            # first gradient's + 0.0 its bits equal the BLAS call's
+            a._accumulate(g * b.data.T if b.shape[1] == 1 else g @ b.data.T, owned=True)
         if b.tape is not None:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(a.data.T @ g, owned=True)
         if bias is not None and bias.tape is not None:
             bias._accumulate(_unbroadcast(g, bias.shape))
 
@@ -311,7 +322,7 @@ def relu(x):
     mask = x.data > 0.0
 
     def backward(g):
-        x._accumulate(g * mask)
+        x._accumulate(g * mask, owned=True)
 
     return _make("relu", x.data * mask, tape, backward)
 
@@ -319,12 +330,12 @@ def relu(x):
 def sigmoid(x):
     x, tape = _coerce(x)
     # stable in both tails
-    out = np.where(x.data >= 0,
-                   1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                   np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    e = np.exp(-np.abs(x.data))
+    d = 1.0 + e
+    out = np.where(x.data >= 0, 1.0 / d, e / d)
 
     def backward(g):
-        x._accumulate(g * out * (1.0 - out))
+        x._accumulate(g * out * (1.0 - out), owned=True)
 
     return _make("sigmoid", out, tape, backward)
 
@@ -338,7 +349,7 @@ def softmax(x):
 
     def backward(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
-        x._accumulate(p * (g - dot))
+        x._accumulate(p * (g - dot), owned=True)
 
     return _make("softmax", p, tape, backward)
 
@@ -462,7 +473,7 @@ def grad_reverse(x, lam: float):
     x, tape = _coerce(x)
 
     def backward(g):
-        x._accumulate(-lam * g)
+        x._accumulate(-lam * g, owned=True)
 
     # no op mutates its input, so the output may share the input's array
     return _make("grad_reverse", x.data, tape, backward)
@@ -488,9 +499,9 @@ def outer_flatten(u, v):
         g3 = g.reshape(n, d, k)
         if u.tape is not None:
             du = np.einsum("ndk,nk->nd", g3, vd)
-            u._accumulate(du[0] if squeeze else du)
+            u._accumulate(du[0] if squeeze else du, owned=True)
         if v.tape is not None:
             dv = np.einsum("ndk,nd->nk", g3, ud)
-            v._accumulate(dv[0] if squeeze else dv)
+            v._accumulate(dv[0] if squeeze else dv, owned=True)
 
     return _make("outer_flatten", out[0] if squeeze else out, tape, backward)

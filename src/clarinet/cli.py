@@ -61,6 +61,11 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value):
+    """A finite number; an int may stand for a float."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _check_value(key, value):
     """A resolved value must have its default's type; an int may stand for a
     float.  Seeds are a non-empty list of ints."""
@@ -70,8 +75,7 @@ def _check_value(key, value):
     elif isinstance(default, int):
         ok, kind = _is_int(value), "an integer"
     elif isinstance(default, float):
-        ok = _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-        kind = "a finite number"
+        ok, kind = _is_number(value), "a finite number"
     elif isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
     else:
@@ -118,16 +122,40 @@ def _train_config(resolved, seed) -> TrainConfig:
 # task loading
 
 
+def _is_pair(value):
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+
+
+# synthetic task field: (check, what the check wants)
+_SYNTHETIC_FIELDS = {
+    "K": (_is_int, "an integer"),
+    "n_per_domain": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "spread": (_is_number, "a finite number"),
+    "rotation_deg": (_is_number, "a finite number"),
+    "radius": (_is_number, "a finite number"),
+    "translation": (_is_pair, "a list of two finite numbers"),
+}
+
+
+def _synthetic_config(task) -> SyntheticPairConfig:
+    """The synthetic task's generator config, for both ``prepare`` and
+    ``train``; a field that is given must pass its check, and an absent one
+    takes the ``SyntheticPairConfig`` default."""
+    fields = {}
+    for name, (check, kind) in _SYNTHETIC_FIELDS.items():
+        if name in task:
+            if not check(task[name]):
+                raise ContractError("task.%s must be %s, got %r" % (name, kind, task[name]))
+            fields[name] = tuple(task[name]) if name == "translation" else task[name]
+    return SyntheticPairConfig(**fields)
+
+
 def _load_task(task, seed):
     """Returns (source ComplementaryDataset, target UnlabeledDataset, eval LabeledDataset)."""
     kind = task.get("type")
     if kind == "synthetic":
-        cfg = SyntheticPairConfig(
-            K=task.get("K", 4), n_per_domain=task.get("n_per_domain", 2000),
-            spread=task.get("spread", 0.3), rotation_deg=task.get("rotation_deg", 30.0),
-            translation=tuple(task.get("translation", (0.0, 0.0))),
-            radius=task.get("radius", 2.0), seed=task.get("seed", 0))
-        src, tgt = make_synthetic_pair(cfg)
+        src, tgt = make_synthetic_pair(_synthetic_config(task))
         source = src.to_complementary(np.random.default_rng([seed, 7]))
         return source, tgt.unlabeled(), tgt
     if kind == "idx":
@@ -167,15 +195,9 @@ def cmd_prepare(args):
     task = _require_task(config.get("task"))
     seed = args.seed[0] if args.seed else _env_seed()
     out = Path(args.out or config.get("out", "prepared"))
-    out.mkdir(parents=True, exist_ok=True)
 
     if task.get("type") == "synthetic":
-        cfg = SyntheticPairConfig(
-            K=task.get("K", 4), n_per_domain=task.get("n_per_domain", 2000),
-            spread=task.get("spread", 0.3), rotation_deg=task.get("rotation_deg", 30.0),
-            translation=tuple(task.get("translation", (0.0, 0.0))),
-            radius=task.get("radius", 2.0), seed=task.get("seed", 0))
-        src, tgt = make_synthetic_pair(cfg)
+        src, tgt = make_synthetic_pair(_synthetic_config(task))
     elif task.get("type") == "idx":
         src = load_idx(task["source_images"], task["source_labels"])
         tgt = load_idx(task["target_images"], task["target_labels"])
@@ -183,6 +205,7 @@ def cmd_prepare(args):
         raise ContractError("prepare supports synthetic and idx tasks")
 
     source = src.to_complementary(np.random.default_rng(seed))
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "source_comp.csv", source.features, source.comp_labels)
     write_csv(out / "target.csv", tgt.features, tgt.labels)
     # evaluation-only file, kept separate from anything training reads
@@ -208,7 +231,6 @@ def cmd_train(args):
         resolved["seeds"] = args.seed
     task = _require_task(resolved.get("task"))
     out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
 
     accuracies = []
     per_seed = []
@@ -216,6 +238,7 @@ def cmd_train(args):
         source, target, eval_data = _load_task(task, seed)
         resolved["K"] = source.K
         tc = _train_config(resolved, seed)
+        out.mkdir(parents=True, exist_ok=True)
         if tc.variant == "gac":
             print("variant=gac: target data are ignored (non-transfer baseline)")
         try:

@@ -57,6 +57,8 @@ class ComplementaryDataset:
         self.comp_labels = np.asarray(self.comp_labels, dtype=np.int64)
         if self.K < 2:
             raise ContractError("ComplementaryDataset requires K >= 2")
+        if len(self.comp_labels) < 1:
+            raise ContractError("dataset %r is empty" % self.name)
         if self.comp_labels.min() < 1 or self.comp_labels.max() > self.K:
             raise ContractError("complementary labels out of range {1..%d}" % self.K)
         if self._true_labels is not None:

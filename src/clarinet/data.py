@@ -4,6 +4,7 @@ domain pairs, CSV export, and seeded minibatch streams.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -70,6 +71,8 @@ class SyntheticPairConfig:
     def __post_init__(self):
         if self.K < 2:
             raise ContractError("SyntheticPairConfig requires K >= 2")
+        if self.n_per_domain < 1:
+            raise ContractError("SyntheticPairConfig requires n_per_domain >= 1")
         if self.spread <= 0:
             raise ContractError("SyntheticPairConfig requires spread > 0")
 
@@ -78,32 +81,39 @@ class SyntheticPairConfig:
 # IDX files
 
 
-def _read_exact(fh, n, path):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError("%s: truncated file (wanted %d bytes, got %d)" % (path, n, len(buf)))
-    return buf
+def require_bytes(fh, n, path):
+    """Raise a FormatError unless the file holds n more bytes; checked from
+    its size, so a corrupt length field never allocates more than that."""
+    left = max(os.fstat(fh.fileno()).st_size - fh.tell(), 0)
+    if n > left:
+        raise FormatError("%s: truncated file (wanted %d bytes, got %d)" % (path, n, left))
+
+
+def read_exact(fh, n, path):
+    """Read exactly n bytes of a binary file, or raise a FormatError."""
+    require_bytes(fh, n, path)
+    return fh.read(n)
 
 
 def load_idx(images_path, labels_path, name: str = "") -> LabeledDataset:
     """Load an IDX image/label pair; pixels scaled to [0,1], labels to {1..K}."""
     with open(images_path, "rb") as fh:
-        (magic,) = struct.unpack(">I", _read_exact(fh, 4, images_path))
+        (magic,) = struct.unpack(">I", read_exact(fh, 4, images_path))
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError("%s: bad images magic 0x%08x" % (images_path, magic))
-        n, rows, cols = struct.unpack(">III", _read_exact(fh, 12, images_path))
-        raw = _read_exact(fh, n * rows * cols, images_path)
+        n, rows, cols = struct.unpack(">III", read_exact(fh, 12, images_path))
+        raw = read_exact(fh, n * rows * cols, images_path)
         if fh.read(1):
             raise FormatError("%s: trailing bytes after image payload" % images_path)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
     with open(labels_path, "rb") as fh:
-        (magic,) = struct.unpack(">I", _read_exact(fh, 4, labels_path))
+        (magic,) = struct.unpack(">I", read_exact(fh, 4, labels_path))
         if magic != IDX_LABELS_MAGIC:
             raise FormatError("%s: bad labels magic 0x%08x" % (labels_path, magic))
-        (n_labels,) = struct.unpack(">I", _read_exact(fh, 4, labels_path))
+        (n_labels,) = struct.unpack(">I", read_exact(fh, 4, labels_path))
         if n_labels != n:
             raise FormatError("labels count %d != images count %d" % (n_labels, n))
-        labels = np.frombuffer(_read_exact(fh, n_labels, labels_path), dtype=np.uint8)
+        labels = np.frombuffer(read_exact(fh, n_labels, labels_path), dtype=np.uint8)
     features = images.astype(np.float64) / 255.0
     labels = labels.astype(np.int64) + 1
     return LabeledDataset(features=features, labels=labels, K=int(labels.max()),

@@ -150,13 +150,39 @@ def scatter_map(probs: Tensor, l: float) -> Tensor:
     """Temperature-sharpen predictions: row k gets p_k^(1/l) / sum_j p_j^(1/l).
 
     l=1 is the identity; as l -> 0 rows approach one-hot.
+
+    One tape node.  Order contract: the values and gradients are bit-identical
+    to the ``clamp``/``pow_const``/``tsum``/``div`` chain this replaced, with
+    c = 1.0 / l:
+
+    - forward: ``p = clip(x, PROB_FLOOR, 1.0)``, ``powered = np.power(p, c)``,
+      ``denom = powered.sum(axis=-1, keepdims=True)``, ``powered / denom``;
+    - backward, with g the upstream gradient, each step as that chain's rule
+      did it, including the ``+ 0.0`` of each first gradient:
+      ``g_den = _unbroadcast(-g * powered / (denom * denom), denom.shape) + 0.0``,
+      ``g_pow = (g / denom + 0.0) + g_den`` (broadcast over the row),
+      ``g_p = g_pow * c * np.power(p, c - 1.0)``, and ``dx = g_p * inside``
+      with ``inside`` the clip's mask ``x >= PROB_FLOOR`` and ``x <= 1.0``.
     """
     if l <= 0:
         raise ContractError("scatter_map requires l > 0, got %r" % l)
-    p = ad.clamp(probs, lo=PROB_FLOOR, hi=1.0)
-    powered = ad.pow_const(p, 1.0 / l)
-    denom = ad.tsum(powered, axis=-1, keepdims=True)
-    return powered / denom
+    probs, tape = ad._coerce(probs)
+    x = probs.data
+    c = 1.0 / l
+    p = np.clip(x, PROB_FLOOR, 1.0)
+    powered = np.power(p, c)
+    denom = powered.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        g_den = ad._unbroadcast(-g * powered / (denom * denom), denom.shape) + 0.0
+        g_pow = g / denom
+        g_pow += 0.0
+        g_pow += g_den
+        g_p = g_pow * c * np.power(p, c - 1.0)
+        inside = (x >= PROB_FLOOR) & (x <= 1.0)
+        probs._accumulate(g_p * inside, owned=True)
+
+    return ad._make("scatter_map", powered / denom, tape, backward)
 
 
 def entropy_weight(mapped: np.ndarray):
@@ -175,19 +201,62 @@ def adversarial_loss(d_source: Tensor, w_source: np.ndarray,
     """Weighted conditional adversarial loss.
 
     sum_s w_s log D(g_s) / sum_s w_s + sum_t w_t log(1 - D(g_t)) / sum_t w_t,
-    with the weights treated as constants.  Always <= 0.
+    with the weights treated as constants and D's outputs clipped to
+    [1e-12, 1 - 1e-12].  Always <= 0.
+
+    One tape node.  Order contract: the value and gradients are bit-identical
+    to the ``clamp``/``log``/``mul``/``tsum``/``div``/``sub``/``add`` chain
+    this replaced.  When D's output is 2-D the weights are reshaped to
+    ``(n, 1)`` before anything else, their sums included.
+
+    - forward: ``(w_s * log(clip(d_s))).sum() / float(w_s.sum())`` plus
+      ``(w_t * log(1.0 - clip(d_t))).sum() / float(w_t.sum())``;
+    - backward, with g the upstream gradient and each ``+ 0.0`` the first
+      gradient of a node of that chain: per domain, ``g_term = g + 0.0``,
+      ``g_sum = g_term / sum(w) + 0.0``, ``g_mul = full(shape, g_sum) + 0.0``,
+      ``g_log = g_mul * w + 0.0``; then for the source
+      ``g_d = g_log / clip(d_s) + 0.0``, and for the target
+      ``g_u = g_log / (1.0 - clip(d_t)) + 0.0`` and ``g_d = -g_u + 0.0``;
+      ``dd = g_d * inside`` with ``inside`` the clip's mask.  The target's
+      gradient is passed on before the source's.
     """
     w_source = np.asarray(w_source, dtype=np.float64)
     w_target = np.asarray(w_target, dtype=np.float64)
+    d_source, d_target, tape = ad._coerce(d_source, d_target)
     if d_source.size == 0 or d_target.size == 0:
         raise ContractError("adversarial_loss needs at least one sample per domain")
     eps = 1e-12
-    ds = ad.clamp(d_source, lo=eps, hi=1.0 - eps)
-    dt = ad.clamp(d_target, lo=eps, hi=1.0 - eps)
-    if ds.data.ndim == 2:
+    lo, hi = eps, 1.0 - eps
+    ds = np.clip(d_source.data, lo, hi)
+    dt = np.clip(d_target.data, lo, hi)
+    if ds.ndim == 2:
         w_source = w_source.reshape(-1, 1)
-    if dt.data.ndim == 2:
+    if dt.ndim == 2:
         w_target = w_target.reshape(-1, 1)
-    s_term = ad.tsum(Tensor(w_source) * ad.log(ds)) / float(w_source.sum())
-    t_term = ad.tsum(Tensor(w_target) * ad.log(1.0 - dt)) / float(w_target.sum())
-    return s_term + t_term
+    ws_sum = float(w_source.sum())
+    wt_sum = float(w_target.sum())
+    log_s = np.log(ds)
+    u = 1.0 - dt
+    log_t = np.log(u)
+    mul_s = w_source * log_s
+    mul_t = w_target * log_t
+    value = mul_s.sum() / ws_sum + mul_t.sum() / wt_sum
+
+    def log_term_grad(g, w, w_sum, mul, log_input):
+        """The gradient reaching a domain's log input, term -> sum -> mul -> log."""
+        g_sum = (g + 0.0) / w_sum + 0.0
+        g_mul = np.full(mul.shape, g_sum) + 0.0
+        g_log = ad._unbroadcast(g_mul * w, log_input.shape) + 0.0
+        return g_log / log_input + 0.0
+
+    def backward(g):
+        if d_target.tape is not None:
+            g_d = -log_term_grad(g, w_target, wt_sum, mul_t, u) + 0.0
+            inside = (d_target.data >= lo) & (d_target.data <= hi)
+            d_target._accumulate(g_d * inside, owned=True)
+        if d_source.tape is not None:
+            g_d = log_term_grad(g, w_source, ws_sum, mul_s, ds)
+            inside = (d_source.data >= lo) & (d_source.data <= hi)
+            d_source._accumulate(g_d * inside, owned=True)
+
+    return ad._make("adversarial_loss", value, tape, backward)

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor
+from .data import read_exact, require_bytes
 from .errors import ContractError, FormatError
 from .losses import scatter_map
 
@@ -139,14 +140,20 @@ def pseudo_label(triplet: NetworkTriplet, features: np.ndarray) -> np.ndarray:
 _MAGIC = b"CLNT"
 
 
-def save_checkpoint(path, triplet: NetworkTriplet):
-    entries = []
+def _named_parameters(triplet: NetworkTriplet) -> dict:
+    """Checkpoint tensor name -> parameter, in the order they are written."""
+    named = {}
     for net_name in ("G", "F", "D"):
         net = getattr(triplet, net_name)
         for i, p in enumerate(net.weights):
-            entries.append(("%s.w%d" % (net_name, i), p.value))
+            named["%s.w%d" % (net_name, i)] = p
         for i, p in enumerate(net.biases):
-            entries.append(("%s.b%d" % (net_name, i), p.value))
+            named["%s.b%d" % (net_name, i)] = p
+    return named
+
+
+def save_checkpoint(path, triplet: NetworkTriplet):
+    entries = _named_parameters(triplet)
     meta = json.dumps({n: {"widths": list(getattr(triplet, n).spec.widths),
                            "head": getattr(triplet, n).spec.head}
                        for n in ("G", "F", "D")}).encode()
@@ -155,7 +162,8 @@ def save_checkpoint(path, triplet: NetworkTriplet):
         fh.write(struct.pack("<I", len(meta)))
         fh.write(meta)
         fh.write(struct.pack("<I", len(entries)))
-        for name, arr in entries:
+        for name, param in entries.items():
+            arr = param.value
             nb = name.encode()
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
@@ -164,29 +172,69 @@ def save_checkpoint(path, triplet: NetworkTriplet):
             fh.write(arr.astype("<f8").tobytes())
 
 
+def _header_specs(meta, path) -> dict:
+    """The three network specs of a checkpoint header, or a FormatError."""
+    specs = {}
+    for n in ("G", "F", "D"):
+        entry = meta.get(n) if isinstance(meta, dict) else None
+        widths = entry.get("widths") if isinstance(entry, dict) else None
+        if not (isinstance(widths, list) and all(isinstance(w, int) and not isinstance(w, bool)
+                                                 for w in widths)
+                and isinstance(entry.get("head"), str)):
+            raise FormatError("%s: checkpoint header has no valid spec for %s" % (path, n))
+        try:
+            specs[n] = NetworkSpec(tuple(widths), head=entry["head"])
+        except ContractError as exc:
+            raise FormatError("%s: checkpoint header: %s" % (path, exc)) from None
+    return specs
+
+
 def load_checkpoint(path) -> NetworkTriplet:
+    """Read a checkpoint back; it fails closed with a FormatError on a file
+    that is cut short, has bytes after the last tensor, or names a tensor
+    that is unknown, repeated or missing."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise FormatError("not a checkpoint file: bad magic")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len))
-        specs = {n: NetworkSpec(tuple(meta[n]["widths"]), head=meta[n]["head"])
-                 for n in ("G", "F", "D")}
-        triplet = build_triplet(specs["G"], specs["F"], specs["D"], seed=0)
-        (count,) = struct.unpack("<I", fh.read(4))
+
+        def u32():
+            return struct.unpack("<I", read_exact(fh, 4, path))[0]
+
+        raw_meta = read_exact(fh, u32(), path)
+        try:
+            meta = json.loads(raw_meta)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError("%s: checkpoint header is not JSON: %s" % (path, exc)) from None
+        specs = _header_specs(meta, path)
+        # checked before any parameter is allocated, so a corrupt width
+        # cannot ask for more memory than the file holds
+        n_values = sum(a * b + b for spec in specs.values()
+                       for a, b in zip(spec.widths[:-1], spec.widths[1:]))
+        require_bytes(fh, 8 * n_values, path)
+        try:
+            triplet = build_triplet(specs["G"], specs["F"], specs["D"], seed=0)
+        except ContractError as exc:
+            raise FormatError("%s: checkpoint header: %s" % (path, exc)) from None
+        named = _named_parameters(triplet)
+        count = u32()
+        if count != len(named):
+            raise FormatError("%s: checkpoint holds %d tensors, its networks have %d"
+                              % (path, count, len(named)))
+        seen = set()
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack("<%dI" % ndim, fh.read(4 * ndim))
-            n_vals = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n_vals), dtype="<f8").reshape(shape)
-            net_name, slot = name.split(".")
-            net = getattr(triplet, net_name)
-            store = net.weights if slot[0] == "w" else net.biases
-            param = store[int(slot[1:])]
-            if param.value.shape != data.shape:
+            name = read_exact(fh, u32(), path).decode("utf-8", "replace")
+            if name not in named or name in seen:
+                raise FormatError("%s: %s checkpoint tensor name %r"
+                                  % (path, "repeated" if name in seen else "unknown", name))
+            seen.add(name)
+            param = named[name]
+            ndim = u32()
+            shape = struct.unpack("<%dI" % ndim, read_exact(fh, 4 * ndim, path))
+            if shape != param.value.shape:
                 raise FormatError("checkpoint tensor %s has shape %s, expected %s"
-                                  % (name, data.shape, param.value.shape))
-            param.value[...] = data
+                                  % (name, shape, param.value.shape))
+            param.value[...] = np.frombuffer(read_exact(fh, 8 * param.value.size, path),
+                                             dtype="<f8").reshape(shape)
+        if fh.read(1):
+            raise FormatError("%s: trailing bytes after the last tensor" % path)
     return triplet

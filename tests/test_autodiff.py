@@ -121,9 +121,9 @@ class TestGradientRules:
         received = []
         accumulate = Tensor._accumulate
 
-        def spy(self, g):
+        def spy(self, g, **kwargs):
             received.append(self)
-            accumulate(self, g)
+            accumulate(self, g, **kwargs)
 
         monkeypatch.setattr(Tensor, "_accumulate", spy)
         rng = np.random.default_rng(0)

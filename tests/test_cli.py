@@ -1,10 +1,13 @@
 import builtins
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from clarinet.cli import main
+from clarinet.data import write_csv
+from clarinet.models import build_triplet, default_specs, save_checkpoint
 
 
 SMALL_TASK = {"type": "synthetic", "K": 4, "n_per_domain": 200, "spread": 0.45,
@@ -188,6 +191,53 @@ class TestTrain:
         assert "Traceback" not in err
 
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_evaluation_names_the_epoch(self, tmp_path, capsys):
+        # one iteration per epoch: the update is finite, the evaluation is not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": {"type": "synthetic", "n_per_domain": 100},
+                                   "epochs": 2, "ts": 1, "gamma1": 1e300}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "run diverged: epoch 1 evaluation: " in err
+        assert "non-finite" in err
+        assert "Traceback" not in err
+
+
+class TestTaskFields:
+    @pytest.mark.parametrize("verb", ["prepare", "train"])
+    @pytest.mark.parametrize("field, value, kind", [
+        ("K", "4", "an integer"),
+        ("n_per_domain", 2.5, "an integer"),
+        ("seed", True, "an integer"),
+        ("spread", "wide", "a finite number"),
+        ("rotation_deg", None, "a finite number"),
+        ("radius", float("inf"), "a finite number"),
+        ("translation", [1.0], "a list of two finite numbers"),
+        ("translation", [1.0, "up"], "a list of two finite numbers"),
+    ])
+    def test_wrong_field_type_exits_2(self, tmp_path, capsys, verb, field, value, kind):
+        cfg = write_config(tmp_path, task=dict(SMALL_TASK, **{field: value}))
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: task.%s must be %s, got %r" % (field, kind, value) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["prepare", "train"])
+    def test_out_of_range_size_exits_2(self, tmp_path, capsys, verb):
+        cfg = write_config(tmp_path, task=dict(SMALL_TASK, n_per_domain=-3))
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "n_per_domain >= 1" in capsys.readouterr().err
+
+    def test_absent_fields_take_the_generator_defaults(self, tmp_path):
+        cfg = write_config(tmp_path, task={"type": "synthetic", "n_per_domain": 50,
+                                           "translation": [1, 0]})
+        out = tmp_path / "p"
+        assert main(["prepare", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["K"] == 4
+
+
 class TestVerify:
     def test_passing_suite_exits_0(self, tmp_path, capsys):
         assert main(["verify", "tmap", "--out", str(tmp_path)]) == 0
@@ -223,3 +273,80 @@ class TestEval:
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert main(["eval", str(tmp_path / "nope.ckpt"),
                      str(tmp_path / "nope.csv")]) == 2
+
+
+@pytest.fixture
+def saved_model(tmp_path):
+    """A checkpoint of a small untrained triplet and a labelled CSV for it."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_triplet(*default_specs(2, 4, d_g=4, hidden=8), seed=0))
+    data = tmp_path / "data.csv"
+    write_csv(data, np.zeros((3, 2)), [1, 2, 3])
+    return path, data
+
+
+class TestCheckpointFailsClosed:
+    def eval_bytes(self, tmp_path, capsys, blob):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob)
+        code = main(["eval", str(bad), str(tmp_path / "data.csv")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_intact_checkpoint_evaluates(self, tmp_path, capsys, saved_model):
+        code, _ = self.eval_bytes(tmp_path, capsys, saved_model[0].read_bytes())
+        assert code == 0
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.001, 0.005, 0.01, 0.03, 0.1, 0.5, 0.9, 0.999])
+    def test_cut_checkpoint_exits_2(self, tmp_path, capsys, saved_model, fraction):
+        blob = saved_model[0].read_bytes()
+        cut = min(int(len(blob) * fraction), len(blob) - 1)
+        code, err = self.eval_bytes(tmp_path, capsys, blob[:cut])
+        assert code == 2
+        assert "truncated file" in err or "bad magic" in err
+
+    def test_trailing_bytes_exit_2(self, tmp_path, capsys, saved_model):
+        code, err = self.eval_bytes(tmp_path, capsys, saved_model[0].read_bytes() + b"\0")
+        assert code == 2
+        assert "trailing bytes" in err
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b"G.w0", b"G.x0", "unknown checkpoint tensor name 'G.x0'"),
+        (b"G.b0", b"G.w0", "repeated checkpoint tensor name 'G.w0'"),
+        (b'{"G"', b'["G"', "checkpoint header is not JSON"),
+    ])
+    def test_bad_tensor_names_exit_2(self, tmp_path, capsys, saved_model, old, new, message):
+        blob = saved_model[0].read_bytes()
+        assert old in blob and len(old) == len(new)
+        code, err = self.eval_bytes(tmp_path, capsys, blob.replace(old, new, 1))
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["F"].update(head="softmix"), "unknown head"),
+        (lambda m: m["G"].update(widths=[0, 8, 4]), "positive widths"),
+        (lambda m: m["G"].update(widths=[2, 8.5, 4]), "no valid spec for G"),
+        (lambda m: m.pop("D"), "no valid spec for D"),
+        (lambda m: m["D"].update(widths=[16, 64, 1000000]), "truncated file"),
+        (lambda m: m["F"].update(widths=[3, 4]), "F input width 3 != G output width 4"),
+    ])
+    def test_bad_header_exits_2(self, tmp_path, capsys, saved_model, edit, message):
+        blob = saved_model[0].read_bytes()
+        (meta_len,) = struct.unpack("<I", blob[4:8])
+        meta = json.loads(blob[8:8 + meta_len])
+        edit(meta)
+        raw = json.dumps(meta).encode()
+        code, err = self.eval_bytes(tmp_path, capsys, blob[:4] + struct.pack("<I", len(raw))
+                                    + raw + blob[8 + meta_len:])
+        assert code == 2
+        assert message in err
+
+    def test_tensor_count_must_match_the_networks(self, tmp_path, capsys, saved_model):
+        blob = saved_model[0].read_bytes()
+        (meta_len,) = struct.unpack("<I", blob[4:8])
+        at = 8 + meta_len
+        code, err = self.eval_bytes(tmp_path, capsys,
+                                    blob[:at] + struct.pack("<I", 5) + blob[at + 4:])
+        assert code == 2
+        assert "holds 5 tensors, its networks have 10" in err

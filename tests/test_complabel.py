@@ -75,6 +75,11 @@ class TestGenerate:
             ComplementaryDataset(features=np.zeros((2, 1)), comp_labels=[1, 2],
                                  K=3, _true_labels=[1, 1])
 
+    def test_empty_dataset_names_itself(self):
+        with pytest.raises(ContractError, match="dataset 'held-out' is empty"):
+            ComplementaryDataset(features=np.zeros((0, 2)), comp_labels=[], K=3,
+                                 name="held-out")
+
 
 class TestRecoverPosterior:
     def test_uniform_fixed_point(self):
