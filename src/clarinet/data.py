@@ -5,6 +5,7 @@ domain pairs, CSV export, and seeded minibatch streams.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -82,17 +83,23 @@ class SyntheticPairConfig:
 
 
 def require_bytes(fh, n, path):
-    """Raise a FormatError unless the file holds n more bytes; checked from
-    its size, so a corrupt length field never allocates more than that."""
-    left = max(os.fstat(fh.fileno()).st_size - fh.tell(), 0)
-    if n > left:
-        raise FormatError("%s: truncated file (wanted %d bytes, got %d)" % (path, n, left))
+    """Raise a FormatError unless a regular file holds n more bytes; checked
+    from its size, so a corrupt length field never allocates more than that.
+    A pipe has no size, so nothing is checked for one."""
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        left = max(st.st_size - fh.tell(), 0)
+        if n > left:
+            raise FormatError("%s: truncated file (wanted %d bytes, got %d)" % (path, n, left))
 
 
 def read_exact(fh, n, path):
-    """Read exactly n bytes of a binary file, or raise a FormatError."""
+    """Read exactly n bytes of a binary file or pipe, or raise a FormatError."""
     require_bytes(fh, n, path)
-    return fh.read(n)
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise FormatError("%s: truncated file (wanted %d bytes, got %d)" % (path, n, len(buf)))
+    return buf
 
 
 def load_idx(images_path, labels_path, name: str = "") -> LabeledDataset:

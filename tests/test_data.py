@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -43,6 +46,34 @@ class TestIdx:
         imgs.write_bytes(data[:len(data) // 2])
         with pytest.raises(FormatError, match="truncated"):
             load_idx(imgs, labs)
+
+    @pytest.mark.parametrize("cut", [None, 100])
+    def test_pipes_read_like_files(self, tmp_path, digit_dataset, cut):
+        # a FIFO has no size, as with `clarinet train` on <(zcat images.gz)
+        imgs, labs = tmp_path / "imgs", tmp_path / "labs"
+        write_idx(imgs, labs, digit_dataset, rows=28, cols=28)
+        feeds = [(tmp_path / "imgs.fifo", imgs.read_bytes()[:cut])]
+        if cut is None:  # a cut image file fails before the labels are opened
+            feeds.append((tmp_path / "labs.fifo", labs.read_bytes()))
+
+        def feed():
+            for fifo, payload in feeds:
+                with open(fifo, "wb") as fh:
+                    fh.write(payload)
+
+        for fifo, _ in feeds:
+            os.mkfifo(fifo)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        if cut is None:
+            loaded = load_idx(feeds[0][0], feeds[1][0])
+            assert np.array_equal(loaded.labels, digit_dataset.labels)
+            assert np.array_equal(loaded.features, load_idx(imgs, labs).features)
+        else:
+            with pytest.raises(FormatError, match="truncated"):
+                load_idx(feeds[0][0], labs)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_count_mismatch(self, tmp_path, digit_dataset):
         imgs, labs = tmp_path / "imgs", tmp_path / "labs"

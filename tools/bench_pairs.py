@@ -3,14 +3,16 @@
     python3 tools/bench_pairs.py --base ../parent --change . --pairs 10 \
         --seconds 40 --out BENCH_6.json
 
-Each checkout (a git worktree, or any directory holding ``perfbench/`` and
+Each checkout (a git clone, or any directory holding ``perfbench/`` and
 ``src/``) runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in its own directory.  Pair i runs seed ``--first-seed + i`` on both sides,
-the base first on even pairs and the change first on odd ones, so a drift in
-the machine's speed falls on both sides alike.  The output JSON gives, per
-workload and end-to-end metric, each side's median and quartiles over the
-pairs, the change of the medians, and the number of pairs the change won,
-plus each run's raw numbers, digests and failures.
+in its own directory, for every workload in ``WORKLOADS``.  Pair i runs seed
+i on both sides, the base first on even pairs and the change first on odd
+ones, so a drift in the machine's speed falls on both sides alike.  Each side
+is named by its ``git rev-parse --short HEAD``, or by its directory name
+outside git.  The output JSON gives, per workload and end-to-end metric, each
+side's median and quartiles over the pairs, the change of the medians, and
+the number of pairs the change won, plus each run's raw numbers, digests and
+failures.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from pathlib import Path
 import numpy as np
 
 WORKLOADS = ("synth-k4", "idx-k10", "oracles")
+
+
+def label(checkout: Path) -> str:
+    proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else checkout.resolve().name
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -76,14 +84,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, type=Path, help="checkout measured as before")
     p.add_argument("--change", required=True, type=Path, help="checkout measured as after")
-    p.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=0)
     p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    p.add_argument("--base-label", help="name of the base in the output (default: its "
-                                         "directory name)")
-    p.add_argument("--change-label", help="name of the change in the output")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
@@ -93,16 +96,14 @@ def main(argv=None) -> int:
     with open(args.change / "BENCHMARK.json") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
-    report = {"base": args.base_label or args.base.resolve().name,
-              "change": args.change_label or args.change.resolve().name, "pairs": args.pairs,
-              "first_seed": args.first_seed, "seconds": args.seconds,
+    report = {"base": label(args.base), "change": label(args.change), "pairs": args.pairs,
+              "seconds": args.seconds,
               "order": "base first on even pairs, change first on odd pairs",
               "workloads": {}}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         pairs = []
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            sides = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for seed in range(args.pairs):
+            sides = ("base", "change") if seed % 2 == 0 else ("change", "base")
             pair = {"seed": seed, "first": sides[0]}
             for side in sides:
                 pair[side] = run_once(getattr(args, side), workload, seed, args.seconds)
