@@ -7,6 +7,7 @@ metrics bookkeeping.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 import warnings
@@ -209,6 +210,23 @@ def _adversarial_step(triplet, src_feats, tgt_feats, lam, config, conditional=Tr
     return loss.item()
 
 
+@functools.cache
+def _hold_heap():
+    """Keep freed memory in the process from one training step to the next.
+
+    A synth-k4 step allocates and frees about 1 MB of arrays.  While glibc's
+    trim threshold is at its 128 KB default, the top of the heap can go back
+    to the kernel at the end of each step and be faulted in again by the
+    next one: about 300 minor page faults a step, or 0.2-0.4 s of system
+    time a run, depending on what the process allocated before.  glibc
+    raises its mmap threshold to the size of a freed mmapped block, and its
+    trim threshold to twice that, so freeing one 4 MB block keeps up to 8 MB
+    of free heap from then on.  Its adaptive thresholds otherwise work as
+    before (``mallopt`` would switch them off), and no value changes.
+    """
+    np.empty(4 << 20, dtype=np.uint8)
+
+
 def _run_loop(triplet, source: ComplementaryDataset, target, config: TrainConfig,
               eval_data, adversary: bool, conditional=True, src_weighted=True,
               ce_labels=None, epoch_callback=None):
@@ -219,6 +237,7 @@ def _run_loop(triplet, source: ComplementaryDataset, target, config: TrainConfig
     """
     if source.K != config.K:
         raise ContractError("source K=%d != config K=%d" % (source.K, config.K))
+    _hold_heap()
     rng_src = np.random.default_rng([config.seed, 1])
     rng_tgt = np.random.default_rng([config.seed, 2])
     n_src = len(source)

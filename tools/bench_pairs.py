@@ -8,11 +8,11 @@ Each checkout (a git clone, or any directory holding ``perfbench/`` and
 in its own directory, for every workload in ``WORKLOADS``.  Pair i runs seed
 i on both sides, the base first on even pairs and the change first on odd
 ones, so a drift in the machine's speed falls on both sides alike.  Each side
-is named by its ``git rev-parse --short HEAD``, or by its directory name
-outside git.  The output JSON gives, per workload and end-to-end metric, each
-side's median and quartiles over the pairs, the change of the medians, and
-the number of pairs the change won, plus each run's raw numbers, digests and
-failures.
+is named by ``git describe --always --dirty`` (its commit, marked ``-dirty``
+when the tree has local edits), or by its directory name outside git.  The
+output JSON gives, per workload and end-to-end metric, each side's median
+and quartiles over the pairs, the change of the medians, and the number of
+pairs the change won, plus each run's raw numbers, digests and failures.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ WORKLOADS = ("synth-k4", "idx-k10", "oracles")
 
 
 def label(checkout: Path) -> str:
-    proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else checkout.resolve().name
 
