@@ -24,7 +24,7 @@ from .data import (LabeledDataset, SyntheticPairConfig, UnlabeledDataset,
                    load_idx, make_synthetic_pair, read_csv, write_csv)
 from .errors import ContractError, FormatError, NonFiniteValue
 from .models import load_checkpoint, save_checkpoint
-from .train import (TrainConfig, evaluate, train_variant, write_metrics_csv)
+from .train import VARIANTS, TrainConfig, evaluate, train_variant, write_metrics_csv
 from .verify import report_json, run_suite
 
 TRAIN_DEFAULTS = {
@@ -151,24 +151,32 @@ def _synthetic_config(task) -> SyntheticPairConfig:
     return SyntheticPairConfig(**fields)
 
 
-def _load_task(task, seed):
-    """Returns (source ComplementaryDataset, target UnlabeledDataset, eval LabeledDataset)."""
+def _labelled_pair(task, seed):
+    """The labelled (source, target) pair of a synthetic or idx task, for both
+    ``prepare`` and ``train``.  ``task.subsample``, when given and not null,
+    keeps that many source rows, drawn with ``seed``."""
     kind = task.get("type")
     if kind == "synthetic":
         src, tgt = make_synthetic_pair(_synthetic_config(task))
-        source = src.to_complementary(np.random.default_rng([seed, 7]))
-        return source, tgt.unlabeled(), tgt
-    if kind == "idx":
+    elif kind == "idx":
         src = load_idx(task["source_images"], task["source_labels"], name="idx-source")
         tgt = load_idx(task["target_images"], task["target_labels"], name="idx-target")
-        n_sub = task.get("subsample")
-        if n_sub:
-            keep = np.random.default_rng([seed, 11]).permutation(len(src))[:n_sub]
-            src = LabeledDataset(src.features[keep], src.labels[keep],
-                                 K=src.K, name=src.name)
-        source = src.to_complementary(np.random.default_rng([seed, 7]))
-        return source, tgt.unlabeled(), tgt
-    if kind == "prepared":
+    else:
+        raise ContractError("unknown task type %r; prepare takes synthetic or idx, "
+                            "train also prepared" % (kind,))
+    n_sub = task.get("subsample")
+    if n_sub is not None:
+        if not (_is_int(n_sub) and 1 <= n_sub <= len(src)):
+            raise ContractError("task.subsample must be an integer in 1..%d, got %r"
+                                % (len(src), n_sub))
+        keep = np.random.default_rng([seed, 11]).permutation(len(src))[:n_sub]
+        src = LabeledDataset(src.features[keep], src.labels[keep], K=src.K, name=src.name)
+    return src, tgt
+
+
+def _load_task(task, seed):
+    """Returns (source ComplementaryDataset, target UnlabeledDataset, eval LabeledDataset)."""
+    if task.get("type") == "prepared":
         with open(task["manifest"]) as fh:
             manifest = json.load(fh)
         feats, comp = read_csv(task["source_csv"])
@@ -181,7 +189,8 @@ def _load_task(task, seed):
             eval_data = LabeledDataset(features=tfeats, labels=tlabels,
                                        K=manifest["K"], name="prepared-eval")
         return source, target, eval_data
-    raise ContractError("unknown task type %r" % kind)
+    src, tgt = _labelled_pair(task, seed)
+    return src.to_complementary(np.random.default_rng([seed, 7])), tgt.unlabeled(), tgt
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +205,7 @@ def cmd_prepare(args):
     seed = args.seed[0] if args.seed else _env_seed()
     out = Path(args.out or config.get("out", "prepared"))
 
-    if task.get("type") == "synthetic":
-        src, tgt = make_synthetic_pair(_synthetic_config(task))
-    elif task.get("type") == "idx":
-        src = load_idx(task["source_images"], task["source_labels"])
-        tgt = load_idx(task["target_images"], task["target_labels"])
-    else:
-        raise ContractError("prepare supports synthetic and idx tasks")
-
+    src, tgt = _labelled_pair(task, seed)
     source = src.to_complementary(np.random.default_rng(seed))
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "source_comp.csv", source.features, source.comp_labels)
@@ -239,8 +241,8 @@ def cmd_train(args):
         resolved["K"] = source.K
         tc = _train_config(resolved, seed)
         out.mkdir(parents=True, exist_ok=True)
-        if tc.variant == "gac":
-            print("variant=gac: target data are ignored (non-transfer baseline)")
+        if VARIANTS[tc.variant].adversary == "none":
+            print("variant=%s: target data are ignored (non-transfer baseline)" % tc.variant)
         try:
             result = train_variant(tc.variant, source, target, tc, eval_data)
         except Exception:
@@ -291,7 +293,7 @@ def cmd_eval(args):
     feats, labels = read_csv(args.data)
     if labels is None:
         raise ContractError("evaluation data must carry a label column")
-    ds = LabeledDataset(features=feats, labels=labels, K=triplet.K)
+    ds = LabeledDataset(features=feats, labels=labels, K=triplet.K, name=str(args.data))
     acc = evaluate(triplet, ds)
     print("accuracy %.6f on %d samples" % (acc, len(ds)))
     return 0
@@ -318,8 +320,7 @@ def build_parser():
 
     sp = sub.add_parser("train", help="run an experiment per seed")
     common(sp)
-    sp.add_argument("--variant", choices=("clarinet", "gac", "two-step",
-                                          "ablation-ce", "ablation-no-t"))
+    sp.add_argument("--variant", choices=tuple(VARIANTS))
     sp.add_argument("--l", type=float, help="scatter temperature")
     sp.add_argument("--ts", type=int, help="adversarial start epoch")
     sp.add_argument("--epochs", type=int)

@@ -191,8 +191,8 @@ def _header_specs(meta, path) -> dict:
 
 def load_checkpoint(path) -> NetworkTriplet:
     """Read a checkpoint back; it fails closed with a FormatError on a file
-    that is cut short, has bytes after the last tensor, or names a tensor
-    that is unknown, repeated or missing."""
+    that is cut short, has bytes after the last tensor, names a tensor that
+    is unknown, repeated or missing, or holds a NaN or infinite value."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise FormatError("not a checkpoint file: bad magic")
@@ -233,8 +233,11 @@ def load_checkpoint(path) -> NetworkTriplet:
             if shape != param.value.shape:
                 raise FormatError("checkpoint tensor %s has shape %s, expected %s"
                                   % (name, shape, param.value.shape))
-            param.value[...] = np.frombuffer(read_exact(fh, 8 * param.value.size, path),
-                                             dtype="<f8").reshape(shape)
+            values = np.frombuffer(read_exact(fh, 8 * param.value.size, path), dtype="<f8")
+            if not np.isfinite(values).all():
+                raise FormatError("%s: checkpoint tensor %s holds a non-finite value"
+                                  % (path, name))
+            param.value[...] = values.reshape(shape)
         if fh.read(1):
             raise FormatError("%s: trailing bytes after the last tensor" % path)
     return triplet

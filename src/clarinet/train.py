@@ -11,7 +11,7 @@ import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,10 +22,26 @@ from .data import LabeledDataset, UnlabeledDataset, batches
 from .errors import ContractError, NonFiniteValue
 from .losses import (adversarial_loss, cross_entropy_to_class, entropy_weight,
                      scatter_map, total_comp_loss)
-from .models import (NetworkTriplet, build_triplet, default_specs, predict,
-                     pseudo_label)
+from .models import NetworkTriplet, build_triplet, default_specs, pseudo_label
 
-VARIANTS = ("clarinet", "gac", "two-step", "ablation-ce", "ablation-no-t")
+
+@dataclass(frozen=True)
+class Variant:
+    """A trainer variant: its classifier objective, its adversary, and a
+    scatter temperature that overrides ``TrainConfig.l`` when set."""
+
+    objective: str          # "complementary" (the ascent-corrected risk) or "ce"
+    adversary: str          # "conditional" (CDAN, entropy-weighted), "plain" or "none"
+    l: float | None = None
+
+
+VARIANTS = {
+    "clarinet": Variant("complementary", "conditional"),
+    "gac": Variant("complementary", "none"),
+    "two-step": Variant("ce", "plain"),     # the second stage; the first is gac
+    "ablation-ce": Variant("ce", "conditional"),
+    "ablation-no-t": Variant("complementary", "conditional", l=1.0),
+}
 
 
 @dataclass
@@ -138,23 +154,6 @@ def _classifier_step(triplet, feats, comp_labels, config):
     f = triplet.F.forward(tape, g)
     params = triplet.classifier_params
 
-    if config.variant == "ablation-ce":
-        # plain cross-entropy against the complementary labels
-        terms = []
-        partition = partition_batch(comp_labels, config.K)
-        for k in range(1, config.K + 1):
-            idx = partition.subsets[k - 1]
-            if len(idx):
-                terms.append(ad.tsum(ad.take_rows(cross_entropy_to_class(f, k), idx)))
-        loss = terms[0]
-        for t in terms[1:]:
-            loss = loss + t
-        loss = loss / float(len(comp_labels))
-        _zero_grads(params)
-        tape.backward(loss)
-        sgd_step(params, config.gamma1, config.momentum, config.weight_decay)
-        return loss.item(), 0.0, False
-
     partition = partition_batch(comp_labels, config.K)
     breakdown = total_comp_loss(f, partition)
     total_value = breakdown.total.item()
@@ -169,16 +168,31 @@ def _classifier_step(triplet, feats, comp_labels, config):
     return total_value, l_neg_value, True
 
 
-def _adversarial_step(triplet, src_feats, tgt_feats, lam, config, conditional=True,
-                      src_weighted=True):
-    """Lines 15-17: one backward through the reversal layer updates both sides."""
+def _ce_step(triplet, feats, labels, config):
+    """Cross-entropy descent on the given labels, summed per present class in
+    ascending order, then divided by the batch size; returns (loss, 0.0, False)."""
     tape = Tape()
-    xs = Tensor(src_feats)
-    xt = Tensor(tgt_feats)
-    gs = triplet.G.forward(tape, xs)
-    gt = triplet.G.forward(tape, xt)
-    if conditional:
-        l_eff = 1.0 if config.variant == "ablation-no-t" else config.l
+    f = triplet.F.forward(tape, triplet.G.forward(tape, Tensor(feats)))
+    terms = [ad.tsum(ad.take_rows(cross_entropy_to_class(f, int(k)),
+                                  np.flatnonzero(labels == k)))
+             for k in np.unique(labels)]
+    loss = sum(terms[1:], terms[0]) / float(len(labels))
+    params = triplet.classifier_params
+    _zero_grads(params)
+    tape.backward(loss)
+    sgd_step(params, config.gamma1, config.momentum, config.weight_decay)
+    return loss.item(), 0.0, False
+
+
+def _adversarial_step(triplet, src_feats, tgt_feats, lam, config):
+    """Lines 15-17: one backward through the reversal layer updates both sides.
+    A plain adversary sees G's features with unit weights."""
+    variant = VARIANTS[config.variant]
+    tape = Tape()
+    gs = triplet.G.forward(tape, Tensor(src_feats))
+    gt = triplet.G.forward(tape, Tensor(tgt_feats))
+    if variant.adversary == "conditional":
+        l_eff = config.l if variant.l is None else variant.l
         fs = triplet.F.forward(tape, gs)
         ft = triplet.F.forward(tape, gt)
         # the mapped predictions feed both the conditioning and the weights
@@ -190,9 +204,6 @@ def _adversarial_step(triplet, src_feats, tgt_feats, lam, config, conditional=Tr
         _, w_t = entropy_weight(mapped_t.data)
     else:
         feat_s, feat_t = gs, gt
-        w_s = np.ones(len(src_feats))
-        w_t = np.ones(len(tgt_feats))
-    if not src_weighted:
         w_s = np.ones(len(src_feats))
         w_t = np.ones(len(tgt_feats))
     d_s = triplet.D.forward(tape, ad.grad_reverse(feat_s, lam))
@@ -227,14 +238,13 @@ def _hold_heap():
     np.empty(4 << 20, dtype=np.uint8)
 
 
-def _run_loop(triplet, source: ComplementaryDataset, target, config: TrainConfig,
-              eval_data, adversary: bool, conditional=True, src_weighted=True,
-              ce_labels=None, epoch_callback=None):
-    """Shared epoch/iteration loop for the one-step trainer and both baselines.
-
-    ``ce_labels`` switches the classifier objective to plain cross-entropy on
-    the given true/pseudo labels (the two-step second stage).
-    """
+def _run_loop(triplet, source: ComplementaryDataset, labels, target,
+              config: TrainConfig, eval_data, epoch_callback=None):
+    """Shared epoch/iteration loop of every variant: ``VARIANTS[config.variant]``
+    picks the classifier step and the adversary, and ``labels`` holds, per
+    source row, the labels its objective reads (complementary or pseudo)."""
+    variant = VARIANTS[config.variant]
+    classifier_step = _classifier_step if variant.objective == "complementary" else _ce_step
     if source.K != config.K:
         raise ContractError("source K=%d != config K=%d" % (source.K, config.K))
     _hold_heap()
@@ -255,7 +265,7 @@ def _run_loop(triplet, source: ComplementaryDataset, target, config: TrainConfig
         adv_n = 0
         ascent_steps = 0
         lam = 0.0
-        adversarial_now = adversary and epoch > config.t_s
+        adversarial_now = variant.adversary != "none" and epoch > config.t_s
         if adversarial_now:
             lam = lambda_schedule((epoch - config.t_s) / (config.t_max - config.t_s),
                                   gain=config.lambda_gain)
@@ -263,20 +273,13 @@ def _run_loop(triplet, source: ComplementaryDataset, target, config: TrainConfig
             idx = src_batches[it]
             feats = source.features[idx]
             try:
-                if ce_labels is None:
-                    c, ln, ascended = _classifier_step(triplet, feats,
-                                                       source.comp_labels[idx], config)
-                else:
-                    c = _true_label_step(triplet, feats, ce_labels[idx], config)
-                    ln, ascended = 0.0, False
+                c, ln, ascended = classifier_step(triplet, feats, labels[idx], config)
                 comp_sum += c
                 l_neg_sum += ln
                 ascent_steps += int(ascended)
                 if adversarial_now:
                     tgt_feats = target.features[tgt_batches[it]]
-                    adv_sum += _adversarial_step(triplet, feats, tgt_feats, lam,
-                                                 config, conditional=conditional,
-                                                 src_weighted=src_weighted)
+                    adv_sum += _adversarial_step(triplet, feats, tgt_feats, lam, config)
                     adv_n += 1
             except NonFiniteValue as exc:
                 raise NonFiniteValue("epoch %d iteration %d: %s" % (epoch, it, exc)) from exc
@@ -295,30 +298,13 @@ def _run_loop(triplet, source: ComplementaryDataset, target, config: TrainConfig
     return records
 
 
-def _true_label_step(triplet, feats, labels, config):
-    """Ordinary cross-entropy descent on given (pseudo) labels."""
-    tape = Tape()
-    f = triplet.F.forward(tape, triplet.G.forward(tape, Tensor(feats)))
-    terms = []
-    for k in np.unique(labels):
-        idx = np.flatnonzero(labels == k)
-        terms.append(ad.tsum(ad.take_rows(cross_entropy_to_class(f, int(k)), idx)))
-    loss = terms[0]
-    for t in terms[1:]:
-        loss = loss + t
-    loss = loss / float(len(labels))
-    params = triplet.classifier_params
-    _zero_grads(params)
-    tape.backward(loss)
-    sgd_step(params, config.gamma1, config.momentum, config.weight_decay)
-    return loss.item()
-
-
 # ---------------------------------------------------------------------------
 # entry points
 
 
-def _fresh_triplet(d: int, config: TrainConfig, conditional=True) -> NetworkTriplet:
+def _fresh_triplet(d: int, config: TrainConfig) -> NetworkTriplet:
+    # gac keeps the conditional D it never trains, so its draws match clarinet's
+    conditional = VARIANTS[config.variant].adversary != "plain"
     specs = default_specs(d, config.K, d_g=config.d_g, hidden=config.hidden,
                           conditional=conditional)
     return build_triplet(*specs, seed=config.seed)
@@ -328,12 +314,13 @@ def train_clarinet(source: ComplementaryDataset, target: UnlabeledDataset,
                    config: TrainConfig, eval_data: LabeledDataset | None = None,
                    triplet: NetworkTriplet | None = None,
                    epoch_callback=None) -> TrainResult:
-    """The one-step trainer (also runs both ablation variants)."""
-    if config.variant not in ("clarinet", "ablation-ce", "ablation-no-t"):
+    """The one-step trainer: every variant with a conditional adversary, so
+    both ablations too."""
+    if VARIANTS[config.variant].adversary != "conditional":
         raise ContractError("train_clarinet got variant %r" % config.variant)
     if triplet is None:
         triplet = _fresh_triplet(source.features.shape[1], config)
-    records = _run_loop(triplet, source, target, config, eval_data, adversary=True,
+    records = _run_loop(triplet, source, source.comp_labels, target, config, eval_data,
                         epoch_callback=epoch_callback)
     return TrainResult(model=triplet, records=records)
 
@@ -344,9 +331,10 @@ def train_gac(source: ComplementaryDataset, config: TrainConfig,
               epoch_callback=None) -> TrainResult:
     """Non-transfer baseline: complementary classification with the ascent
     correction, no adversary."""
+    config = replace(config, variant="gac")
     if triplet is None:
         triplet = _fresh_triplet(source.features.shape[1], config)
-    records = _run_loop(triplet, source, None, config, eval_data, adversary=False,
+    records = _run_loop(triplet, source, source.comp_labels, None, config, eval_data,
                         epoch_callback=epoch_callback)
     return TrainResult(model=triplet, records=records)
 
@@ -365,20 +353,20 @@ def train_two_step(source: ComplementaryDataset, target: UnlabeledDataset,
     except ContractError:
         extras["pseudo_label_noise"] = float("nan")
 
-    triplet = _fresh_triplet(source.features.shape[1], config, conditional=False)
-    records = _run_loop(triplet, source, target, config, eval_data, adversary=True,
-                        conditional=False, src_weighted=False, ce_labels=pseudo)
+    config = replace(config, variant="two-step")
+    triplet = _fresh_triplet(source.features.shape[1], config)
+    records = _run_loop(triplet, source, pseudo, target, config, eval_data)
     return TrainResult(model=triplet, records=records, extras=extras)
 
 
 def train_variant(variant: str, source, target, config, eval_data=None) -> TrainResult:
-    if variant in ("clarinet", "ablation-ce", "ablation-no-t"):
-        return train_clarinet(source, target, config, eval_data)
+    """Train ``variant``, whatever ``config.variant`` says."""
+    config = replace(config, variant=variant)
     if variant == "gac":
         return train_gac(source, config, eval_data)
     if variant == "two-step":
         return train_two_step(source, target, config, eval_data)
-    raise ContractError("unknown variant %r" % variant)
+    return train_clarinet(source, target, config, eval_data)
 
 
 # ---------------------------------------------------------------------------

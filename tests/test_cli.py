@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clarinet.cli import main
-from clarinet.data import write_csv
+from clarinet.data import LabeledDataset, write_csv, write_idx
 from clarinet.models import build_triplet, default_specs, save_checkpoint
 
 
@@ -350,3 +350,70 @@ class TestCheckpointFailsClosed:
                                     blob[:at] + struct.pack("<I", 5) + blob[at + 4:])
         assert code == 2
         assert "holds 5 tensors, its networks have 10" in err
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_exits_2(self, tmp_path, capsys, saved_model, value):
+        path, data = saved_model
+        triplet = build_triplet(*default_specs(2, 4, d_g=4, hidden=8), seed=0)
+        triplet.G.weights[0].value[1, 2] = value
+        save_checkpoint(path, triplet)
+        assert main(["eval", str(path), str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: %s: checkpoint tensor G.w0 holds a non-finite value" % path in err
+
+
+def test_eval_names_an_empty_csv(tmp_path, capsys, saved_model):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x0,x1,label\n")
+    with pytest.warns(UserWarning):
+        assert main(["eval", str(saved_model[0]), str(empty)]) == 2
+    assert "dataset %r is empty" % str(empty) in capsys.readouterr().err
+
+
+@pytest.fixture
+def idx_task(tmp_path):
+    """An idx task of 60 source and 40 target 2x2 images over K=3 classes."""
+    rng = np.random.default_rng(0)
+    task = {"type": "idx"}
+    for domain, n in (("source", 60), ("target", 40)):
+        ds = LabeledDataset(rng.uniform(size=(n, 4)), np.arange(n) % 3 + 1, K=3)
+        images, labels = tmp_path / (domain + "-images"), tmp_path / (domain + "-labels")
+        write_idx(images, labels, ds, 2, 2)
+        task.update({domain + "_images": str(images), domain + "_labels": str(labels)})
+    return task
+
+
+class TestSubsample:
+    @pytest.mark.parametrize("verb", ["prepare", "train"])
+    @pytest.mark.parametrize("kind", ["idx", "synthetic"])
+    @pytest.mark.parametrize("value", ["10", 1.5, -10, 0, True, 201])
+    def test_bad_value_exits_2(self, tmp_path, capsys, idx_task, verb, kind, value):
+        task, n = (idx_task, 60) if kind == "idx" else (SMALL_TASK, 200)
+        cfg = write_config(tmp_path, task=dict(task, subsample=value))
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: task.subsample must be an integer in 1..%d, got %r" % (n, value) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, rows", [(25, 25), (60, 60), (None, 60)])
+    def test_prepare_keeps_that_many_source_rows(self, tmp_path, capsys, idx_task, value,
+                                                 rows):
+        cfg = write_config(tmp_path, task=dict(idx_task, subsample=value))
+        out = tmp_path / "p"
+        assert main(["prepare", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "prepared %d source and 40 target samples" % rows in capsys.readouterr().out
+        assert len((out / "source_comp.csv").read_text().splitlines()) == 1 + rows
+
+    def test_train_runs_on_the_subsample(self, tmp_path, idx_task):
+        runs = []
+        for value in (None, 25):
+            cfg = write_config(tmp_path, task=dict(idx_task, subsample=value), epochs=2)
+            out = tmp_path / str(value)
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            runs.append((out / "clarinet_seed0.csv").read_text().splitlines())
+        assert [len(r) for r in runs] == [3, 3]
+        assert runs[0][1].split(",")[1] != runs[1][1].split(",")[1]

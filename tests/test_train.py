@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from clarinet.train import (TrainConfig, evaluate, lambda_schedule, sgd_step,
                             train_clarinet, train_gac, train_two_step,
                             write_metrics_csv, _adversarial_step,
                             _classifier_step, _fresh_triplet)
+from clarinet.cli import build_parser
+from clarinet.train import VARIANTS, train_variant
 
 
 def synthetic_task(seed=0, n=400, spread=0.35):
@@ -317,3 +322,51 @@ class TestEvaluate:
         preds = np.array([1, 1, 2, 2, 2, 3, 3, 3, 1, 3])  # 7 of 10 correct
         model = lambda X: np.eye(3)[preds - 1]
         assert evaluate(model, ds) == pytest.approx(0.7)
+
+
+def run_fingerprint(result):
+    """Every record value but the wall time, floats as hex so that NaN equals
+    NaN bit for bit, and the bytes of every parameter and momentum buffer."""
+    rows = [tuple(v.hex() if isinstance(v, float) else v
+                  for k, v in dataclasses.asdict(r).items() if k != "seconds")
+            for r in result.records]
+    params = result.model.classifier_params + result.model.discriminator_params
+    return rows, [p.value.tobytes() for p in params], [p.momentum.tobytes() for p in params]
+
+
+class TestVariantTable:
+    def run(self, variant, config_variant=None, **kw):
+        source, tgt = synthetic_task(n=200)
+        config = small_config(t_max=4, t_s=1, variant=config_variant or variant, **kw)
+        return run_fingerprint(train_variant(variant, source, tgt.unlabeled(), config,
+                                             eval_data=tgt))
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_argument_decides_over_config_variant(self, variant):
+        other = "ablation-no-t" if variant == "clarinet" else "clarinet"
+        run = self.run(variant)
+        assert self.run(variant, config_variant=other) == run
+        assert self.run(other) != run
+
+    def test_no_t_ablation_is_clarinet_at_unit_temperature(self):
+        assert self.run("ablation-no-t", l=0.5) == self.run("clarinet", l=1.0)
+
+    def test_baselines_set_their_own_variant(self):
+        source, tgt = synthetic_task(n=200)
+        for make in (lambda c: train_gac(source, c),
+                     lambda c: train_two_step(source, tgt.unlabeled(), c)):
+            runs = [run_fingerprint(make(small_config(t_max=4, t_s=1, variant=v)))
+                    for v in ("clarinet", "ablation-ce")]
+            assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("variant", ["gac", "two-step"])
+    def test_one_step_trainer_needs_a_conditional_adversary(self, variant):
+        source, tgt = synthetic_task(n=64)
+        with pytest.raises(ContractError, match="train_clarinet got variant"):
+            train_clarinet(source, tgt.unlabeled(), small_config(variant=variant))
+
+    def test_cli_choices_are_the_table(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices["train"]._actions if a.dest == "variant")
+        assert action.choices == tuple(VARIANTS)
