@@ -410,31 +410,6 @@ def tmean(x, axis=None, keepdims=False):
     return _make("mean", x.data.mean(axis=axis, keepdims=keepdims), tape, backward)
 
 
-def ordered_sum(x, keep=None):
-    """Sum the kept entries of a 1-D tensor one by one, left to right.
-
-    Unlike ``tsum`` (NumPy's pairwise summation) the order is fixed by the
-    index, so the result equals a chain of ``add`` nodes bit for bit.
-    ``keep`` is a boolean mask selecting at least one entry; None keeps all.
-    """
-    x, tape = _coerce(x)
-    if x.data.ndim != 1:
-        raise ShapeMismatch("ordered_sum expects a 1-D tensor, got %s" % (x.shape,))
-    keep = np.ones(x.shape, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
-    if keep.shape != x.shape or not keep.any():
-        raise ContractError("ordered_sum needs a mask of shape %s keeping an entry"
-                            % (x.shape,))
-    first, *rest = x.data[keep].tolist()
-    total = first
-    for v in rest:
-        total = total + v
-
-    def backward(g):
-        x._accumulate(g * keep)
-
-    return _make("ordered_sum", np.float64(total), tape, backward)
-
-
 def take_rows(x, idx):
     """Select rows by index; backward scatter-adds into the source rows."""
     x, tape = _coerce(x)

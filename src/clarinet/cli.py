@@ -51,9 +51,23 @@ def _env_seed():
         raise ContractError("CLARINET_SEED must be an integer, got %r" % raw) from None
 
 
+# file fields of the task types that read files
+_FILE_FIELDS = {
+    "idx": ("source_images", "source_labels", "target_images", "target_labels"),
+    "prepared": ("manifest", "source_csv", "target_csv"),
+}
+
+
 def _require_task(task):
+    """The config's task object; the file fields of an ``idx`` or ``prepared``
+    task must each be a non-empty string (an integer would be opened as a
+    file descriptor)."""
     if not isinstance(task, dict):
         raise ContractError("config needs a 'task' object, got %r" % (task,))
+    for name in _FILE_FIELDS.get(task.get("type"), ()):
+        value = task.get(name)
+        if not (isinstance(value, str) and value):
+            raise ContractError("task.%s must be a non-empty string, got %r" % (name, value))
     return task
 
 
@@ -152,9 +166,10 @@ def _synthetic_config(task) -> SyntheticPairConfig:
 
 
 def _labelled_pair(task, seed):
-    """The labelled (source, target) pair of a synthetic or idx task, for both
-    ``prepare`` and ``train``.  ``task.subsample``, when given and not null,
-    keeps that many source rows, drawn with ``seed``."""
+    """The complementary source and the labelled target of a synthetic or idx
+    task, for both ``prepare`` and ``train``.  ``task.subsample``, when given
+    and not null, keeps that many source rows, drawn with ``seed``; the
+    complementary labels are drawn from ``default_rng([seed, 7])``."""
     kind = task.get("type")
     if kind == "synthetic":
         src, tgt = make_synthetic_pair(_synthetic_config(task))
@@ -171,7 +186,7 @@ def _labelled_pair(task, seed):
                                 % (len(src), n_sub))
         keep = np.random.default_rng([seed, 11]).permutation(len(src))[:n_sub]
         src = LabeledDataset(src.features[keep], src.labels[keep], K=src.K, name=src.name)
-    return src, tgt
+    return src.to_complementary(np.random.default_rng([seed, 7])), tgt
 
 
 def _load_task(task, seed):
@@ -189,8 +204,8 @@ def _load_task(task, seed):
             eval_data = LabeledDataset(features=tfeats, labels=tlabels,
                                        K=manifest["K"], name="prepared-eval")
         return source, target, eval_data
-    src, tgt = _labelled_pair(task, seed)
-    return src.to_complementary(np.random.default_rng([seed, 7])), tgt.unlabeled(), tgt
+    source, tgt = _labelled_pair(task, seed)
+    return source, tgt.unlabeled(), tgt
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +220,7 @@ def cmd_prepare(args):
     seed = args.seed[0] if args.seed else _env_seed()
     out = Path(args.out or config.get("out", "prepared"))
 
-    src, tgt = _labelled_pair(task, seed)
-    source = src.to_complementary(np.random.default_rng(seed))
+    source, tgt = _labelled_pair(task, seed)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "source_comp.csv", source.features, source.comp_labels)
     write_csv(out / "target.csv", tgt.features, tgt.labels)
@@ -214,7 +228,7 @@ def cmd_prepare(args):
     write_csv(out / "source_hidden_labels.csv",
               np.zeros((len(source), 0)), source.hidden_true_labels())
     manifest = {
-        "K": src.K, "seed": seed, "task": task,
+        "K": source.K, "seed": seed, "task": task,
         "source_csv": "source_comp.csv", "target_csv": "target.csv",
         "hidden_labels": {"file": "source_hidden_labels.csv",
                           "evaluation_only": True},

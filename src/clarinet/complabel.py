@@ -1,6 +1,6 @@
 """Complementary-label machinery: the class-transition matrix and its closed-form
-inverse, uniform complementary-label generation, posterior recovery, and per-batch
-class partitioning.
+inverse, uniform complementary-label generation, posterior recovery, and the
+per-batch label check.
 
 Labels are 1-based throughout ({1..K}), matching the dataset convention.
 """
@@ -78,16 +78,10 @@ class ComplementaryDataset:
 
 @dataclass(frozen=True)
 class BatchPartition:
-    """A minibatch split into K per-class index lists with counts and priors."""
+    """A minibatch's complementary labels, checked against the class count."""
 
     K: int
-    subsets: tuple          # K index arrays into the minibatch
-    counts: np.ndarray      # K ints
-    priors: np.ndarray      # K floats, counts / batch size
-
-    @property
-    def batch_size(self) -> int:
-        return int(self.counts.sum())
+    labels: np.ndarray      # n ints in {1..K}
 
 
 def generate_complementary(features, true_labels, K: int, rng: np.random.Generator,
@@ -118,13 +112,10 @@ def recover_posterior(eta_bar: np.ndarray) -> np.ndarray:
 
 
 def partition_batch(comp_labels, K: int) -> BatchPartition:
-    """Split a minibatch by complementary label; absent classes get empty subsets."""
+    """Check a minibatch's complementary labels: at least one, each in {1..K}."""
     comp_labels = np.asarray(comp_labels, dtype=np.int64)
-    n = len(comp_labels)
-    if n == 0:
+    if len(comp_labels) == 0:
         raise ContractError("partition_batch got an empty minibatch")
-    subsets = tuple(np.flatnonzero(comp_labels == k) for k in range(1, K + 1))
-    counts = np.array([len(s) for s in subsets], dtype=np.int64)
-    if counts.sum() != n:
+    if comp_labels.min() < 1 or comp_labels.max() > K:
         raise ContractError("labels out of range {1..%d}" % K)
-    return BatchPartition(K=K, subsets=subsets, counts=counts, priors=counts / n)
+    return BatchPartition(K=K, labels=comp_labels)

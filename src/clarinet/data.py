@@ -189,10 +189,13 @@ def write_csv(path, features: np.ndarray, labels=None):
 
 def read_csv(path):
     """Features and integer labels (None without a label column); a label that
-    is not a whole number is a FormatError, never truncated."""
-    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    is not a whole number is a FormatError, never truncated.  A file with no
+    data rows gives empty arrays, without NumPy's no-data warning."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        rows = [line for line in fh if line.strip()]
+    body = (np.loadtxt(rows, delimiter=",", ndmin=2) if rows
+            else np.empty((0, len(header))))
     if header[-1] == "label":
         labels = body[:, -1]
         bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.trunc(labels))))

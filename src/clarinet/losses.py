@@ -28,10 +28,9 @@ class CompLossBreakdown:
     """Per-class complementary losses, their sum, and the negative part.
 
     ``per_class`` is the K-vector of per-class losses, one tape node;
-    ``total`` and ``l_neg`` are tape scalars drawn from it, so either branch
-    of the descent/ascent correction can backpropagate.  ``l_neg`` is the
-    sum of the negative entries, a zero constant when none is negative.  Both
-    sums run over the classes left to right (see ``total_comp_loss``).
+    ``total`` and ``l_neg`` are ``tsum`` nodes over it, so either branch of
+    the descent/ascent correction can backpropagate.  ``l_neg`` sums the
+    negative entries, and is a zero constant when none is negative.
     """
 
     per_class: Tensor          # K-vector on the tape
@@ -54,56 +53,30 @@ class CompLossBreakdown:
 def comp_loss_vector(probs: Tensor, partition: BatchPartition) -> Tensor:
     """All K per-class complementary losses as one tape node.
 
-    Entry k is
-    -(K-1) * (pi_k / n_k) * sum_{i in subset k} CE(p_i, k)
-      + sum_j (pi_j / n_j) * sum_{l in subset j} CE(p_l, k),
-    with CE(p, k) = -log clip(p_k, PROB_FLOOR, 1).  Classes with empty
-    subsets contribute nothing to either term, so the pi/n ratio is never
-    formed for them.  The backward pass gives d/dprobs directly.
+    The unbiased risk of a sample with complementary label ybar is
+    sum_k CE(p, k) - (K-1) CE(p, ybar), with CE(p, k) = -log clip(p_k,
+    PROB_FLOOR, 1).  Entry k is its class-k part averaged over the batch, one
+    weighted column sum: ``(coef * CE).sum(axis=0)`` with
+    ``coef = (1 - (K-1) onehot(ybar)) / n``.  The backward pass gives
+    d/dprobs directly, ``g * coef / -clip(P) * inside`` with ``inside`` the
+    clip's mask.
     """
-    if not isinstance(probs, Tensor):
-        probs = Tensor(probs)
+    probs, tape = ad._coerce(probs)
     K = partition.K
     P = probs.data
-    n = partition.batch_size
+    n = len(partition.labels)
     if P.shape != (n, K):
         raise ShapeMismatch("comp_loss_vector expects %d x %d probabilities, got %s"
                             % (n, K, P.shape))
-    counts = partition.counts
-    present = np.flatnonzero(counts)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    w_self = np.zeros(K)         # (K-1) pi_k / n_k
-    w_sub = np.zeros(K)          # pi_j / n_j
-    w_self[present] = (K - 1.0) * partition.priors[present] / counts[present]
-    w_sub[present] = partition.priors[present] / counts[present]
-
+    onehot = partition.labels[:, None] == np.arange(1, K + 1)
+    coef = (1.0 - (K - 1.0) * onehot) / n
     clipped = np.clip(P, PROB_FLOOR, 1.0)
-    ce = np.log(clipped) * -1.0
-    # row k holds CE(., k) with the batch grouped by subset, so each
-    # (subset j, class k) sum is one contiguous slice
-    order = np.concatenate(partition.subsets)
-    grouped = np.ascontiguousarray(ce[order].T)
-    values = np.empty(K)
-    for k in range(K):
-        row = grouped[k]
-        sums = {j: row[starts[j]:ends[j]].sum() for j in present}
-        terms = [-w_self[k] * sums[k]] if counts[k] else []
-        terms += [w_sub[j] * sums[j] for j in present]
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = acc + t
-        values[k] = acc
 
     def backward(g):
-        label = np.empty(n, dtype=np.intp)      # 0-based complementary class per row
-        label[order] = np.repeat(np.arange(K), counts)
         inside = (P >= PROB_FLOOR) & (P <= 1.0)
-        coef = g * w_sub[label][:, None]
-        coef[np.arange(n), label] -= g[label] * w_self[label]
-        probs._accumulate(coef * -1.0 / clipped * inside)
+        probs._accumulate(g * coef / -clipped * inside, owned=True)
 
-    return ad._make("comp_loss_vector", values, probs.tape, backward)
+    return ad._make("comp_loss_vector", (coef * -np.log(clipped)).sum(axis=0), tape, backward)
 
 
 def class_comp_loss(probs: Tensor, partition: BatchPartition, k: int) -> Tensor:
@@ -112,38 +85,15 @@ def class_comp_loss(probs: Tensor, partition: BatchPartition, k: int) -> Tensor:
     K = partition.K
     if not 1 <= k <= K:
         raise ContractError("class index %r out of range {1..%d}" % (k, K))
-    return ad.ordered_sum(comp_loss_vector(probs, partition), np.arange(K) == k - 1)
+    return ad.tsum(comp_loss_vector(probs, partition) * (np.arange(K) == k - 1))
 
 
 def total_comp_loss(probs: Tensor, partition: BatchPartition) -> CompLossBreakdown:
-    """Sum of the per-class complementary losses, with the negative-part diagnostic.
-
-    Summation-order contract: the values and gradients are bit-identical to
-    the per-class graph this replaced (K+1 ``take_rows``/``tsum`` terms per
-    class joined by ``add`` nodes), which fixes the arithmetic:
-
-    - weights ``(K-1.0)*pi_k/n_k`` and ``pi_j/n_j``;
-    - one contiguous 1-D ``.sum()`` per (subset j, class k); a 2-D
-      ``sum(axis=1)`` or ``np.add.reduceat`` rounds differently;
-    - per class, the -(K-1) term first, then j ascending over non-empty
-      subsets, accumulated left to right from the first term;
-    - ``total`` and ``l_neg`` summed over classes left to right, not with
-      ``np.sum``;
-    - backward, with g_k the upstream gradient of class k and ybar_i the
-      complementary class of row i:
-      ``dP[i,k] = ((g_k*w_sub[ybar_i] - [ybar_i == k]*g_k*w_self[k]) * -1.0
-      / clip(P[i,k])) * inside[i,k]``, the old graph's chain rule step by
-      step.
-
-    The shorter identity pi_j/n_j = 1/n, which turns each class into one
-    masked column sum, is deliberately not used: it moves the last bits, and
-    so every training record and oracle output.
-    """
+    """Sum of the per-class complementary losses, with the negative-part diagnostic."""
     per_class = comp_loss_vector(probs, partition)
     negative = per_class.data < 0.0
-    l_neg = ad.ordered_sum(per_class, negative) if negative.any() else Tensor(0.0)
-    return CompLossBreakdown(per_class=per_class, total=ad.ordered_sum(per_class),
-                             l_neg=l_neg)
+    l_neg = ad.tsum(per_class * negative) if negative.any() else Tensor(0.0)
+    return CompLossBreakdown(per_class=per_class, total=ad.tsum(per_class), l_neg=l_neg)
 
 
 def scatter_map(probs: Tensor, l: float) -> Tensor:
@@ -196,67 +146,41 @@ def entropy_weight(mapped: np.ndarray):
     return H, 1.0 + np.exp(-H)
 
 
-def adversarial_loss(d_source: Tensor, w_source: np.ndarray,
-                     d_target: Tensor, w_target: np.ndarray) -> Tensor:
-    """Weighted conditional adversarial loss.
+def adversarial_loss(d: Tensor, w_source: np.ndarray, w_target: np.ndarray) -> Tensor:
+    """Weighted conditional adversarial loss on one stacked batch.
 
+    ``d`` holds D's outputs, one per row: the ``len(w_source)`` source rows
+    first, then the ``len(w_target)`` target rows.  The loss is
     sum_s w_s log D(g_s) / sum_s w_s + sum_t w_t log(1 - D(g_t)) / sum_t w_t,
     with the weights treated as constants and D's outputs clipped to
     [1e-12, 1 - 1e-12].  Always <= 0.
 
-    One tape node.  Order contract: the value and gradients are bit-identical
-    to the ``clamp``/``log``/``mul``/``tsum``/``div``/``sub``/``add`` chain
-    this replaced.  When D's output is 2-D the weights are reshaped to
-    ``(n, 1)`` before anything else, their sums included.
-
-    - forward: ``(w_s * log(clip(d_s))).sum() / float(w_s.sum())`` plus
-      ``(w_t * log(1.0 - clip(d_t))).sum() / float(w_t.sum())``;
-    - backward, with g the upstream gradient and each ``+ 0.0`` the first
-      gradient of a node of that chain: per domain, ``g_term = g + 0.0``,
-      ``g_sum = g_term / sum(w) + 0.0``, ``g_mul = full(shape, g_sum) + 0.0``,
-      ``g_log = g_mul * w + 0.0``; then for the source
-      ``g_d = g_log / clip(d_s) + 0.0``, and for the target
-      ``g_u = g_log / (1.0 - clip(d_t)) + 0.0`` and ``g_d = -g_u + 0.0``;
-      ``dd = g_d * inside`` with ``inside`` the clip's mask.  The target's
-      gradient is passed on before the source's.
+    One tape node.  With ``p`` the clipped outputs, ``u`` is ``p`` on the
+    source rows and ``1 - p`` on the target rows, and ``scale`` is each
+    row's weight over its domain's weight sum; the value is
+    ``(scale * log(u)).sum()`` and the gradient ``g * scale / u``, negated on
+    the target rows and masked by the clip.
     """
     w_source = np.asarray(w_source, dtype=np.float64)
     w_target = np.asarray(w_target, dtype=np.float64)
-    d_source, d_target, tape = ad._coerce(d_source, d_target)
-    if d_source.size == 0 or d_target.size == 0:
+    d, tape = ad._coerce(d)
+    n_s = len(w_source)
+    if n_s == 0 or len(w_target) == 0:
         raise ContractError("adversarial_loss needs at least one sample per domain")
+    if d.size != n_s + len(w_target):
+        raise ShapeMismatch("adversarial_loss got %d outputs for %d + %d weights"
+                            % (d.size, n_s, len(w_target)))
     eps = 1e-12
-    lo, hi = eps, 1.0 - eps
-    ds = np.clip(d_source.data, lo, hi)
-    dt = np.clip(d_target.data, lo, hi)
-    if ds.ndim == 2:
-        w_source = w_source.reshape(-1, 1)
-    if dt.ndim == 2:
-        w_target = w_target.reshape(-1, 1)
-    ws_sum = float(w_source.sum())
-    wt_sum = float(w_target.sum())
-    log_s = np.log(ds)
-    u = 1.0 - dt
-    log_t = np.log(u)
-    mul_s = w_source * log_s
-    mul_t = w_target * log_t
-    value = mul_s.sum() / ws_sum + mul_t.sum() / wt_sum
-
-    def log_term_grad(g, w, w_sum, mul, log_input):
-        """The gradient reaching a domain's log input, term -> sum -> mul -> log."""
-        g_sum = (g + 0.0) / w_sum + 0.0
-        g_mul = np.full(mul.shape, g_sum) + 0.0
-        g_log = ad._unbroadcast(g_mul * w, log_input.shape) + 0.0
-        return g_log / log_input + 0.0
+    x = d.data.reshape(-1)
+    p = np.clip(x, eps, 1.0 - eps)
+    u = np.concatenate([p[:n_s], 1.0 - p[n_s:]])
+    scale = np.concatenate([w_source / w_source.sum(), w_target / w_target.sum()])
 
     def backward(g):
-        if d_target.tape is not None:
-            g_d = -log_term_grad(g, w_target, wt_sum, mul_t, u) + 0.0
-            inside = (d_target.data >= lo) & (d_target.data <= hi)
-            d_target._accumulate(g_d * inside, owned=True)
-        if d_source.tape is not None:
-            g_d = log_term_grad(g, w_source, ws_sum, mul_s, ds)
-            inside = (d_source.data >= lo) & (d_source.data <= hi)
-            d_source._accumulate(g_d * inside, owned=True)
+        if d.tape is not None:
+            dp = g * scale / u
+            dp[n_s:] *= -1.0
+            dp *= (x >= eps) & (x <= 1.0 - eps)
+            d._accumulate(dp.reshape(d.shape), owned=True)
 
-    return ad._make("adversarial_loss", value, tape, backward)
+    return ad._make("adversarial_loss", (scale * np.log(u)).sum(), tape, backward)

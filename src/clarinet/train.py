@@ -185,30 +185,24 @@ def _ce_step(triplet, feats, labels, config):
 
 
 def _adversarial_step(triplet, src_feats, tgt_feats, lam, config):
-    """Lines 15-17: one backward through the reversal layer updates both sides.
-    A plain adversary sees G's features with unit weights."""
+    """Lines 15-17 on one stacked batch: the source rows, then the target rows,
+    go through G, F and D once, and one backward through the reversal layer
+    updates both sides.  A plain adversary sees G's features with unit weights."""
     variant = VARIANTS[config.variant]
+    n_s = len(src_feats)
     tape = Tape()
-    gs = triplet.G.forward(tape, Tensor(src_feats))
-    gt = triplet.G.forward(tape, Tensor(tgt_feats))
+    g = triplet.G.forward(tape, Tensor(np.concatenate([src_feats, tgt_feats])))
     if variant.adversary == "conditional":
         l_eff = config.l if variant.l is None else variant.l
-        fs = triplet.F.forward(tape, gs)
-        ft = triplet.F.forward(tape, gt)
         # the mapped predictions feed both the conditioning and the weights
-        mapped_s = scatter_map(fs, l_eff)
-        feat_s = ad.outer_flatten(gs, mapped_s)
-        mapped_t = scatter_map(ft, l_eff)
-        feat_t = ad.outer_flatten(gt, mapped_t)
-        _, w_s = entropy_weight(mapped_s.data)
-        _, w_t = entropy_weight(mapped_t.data)
+        mapped = scatter_map(triplet.F.forward(tape, g), l_eff)
+        feat = ad.outer_flatten(g, mapped)
+        _, w = entropy_weight(mapped.data)
     else:
-        feat_s, feat_t = gs, gt
-        w_s = np.ones(len(src_feats))
-        w_t = np.ones(len(tgt_feats))
-    d_s = triplet.D.forward(tape, ad.grad_reverse(feat_s, lam))
-    d_t = triplet.D.forward(tape, ad.grad_reverse(feat_t, lam))
-    loss = adversarial_loss(d_s, w_s, d_t, w_t)
+        feat = g
+        w = np.ones(len(g.data))
+    d = triplet.D.forward(tape, ad.grad_reverse(feat, lam))
+    loss = adversarial_loss(d, w[:n_s], w[n_s:])
     _zero_grads(triplet.classifier_params)
     _zero_grads(triplet.discriminator_params)
     tape.backward(loss)

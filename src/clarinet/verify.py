@@ -159,7 +159,7 @@ def gradcheck_suite(seed: int = 0) -> dict:
         "add": (x, lambda t: ad.tsum((t + a) * 2.0)),
         "sub": (x, lambda t: ad.tsum(a - t)),
         "mul": (x, lambda t: ad.tsum(t * a)),
-        "div": (x + 3.0, lambda t: ad.tsum(a / t)),
+        "div": (np.abs(x) + 0.5, lambda t: ad.tsum(a / t)),
         "matmul": (x, lambda t: ad.tsum(t @ Tensor(b))),
         # the affine form, one operand differentiated at a time: the other
         # two are constants and get no gradient computed
@@ -173,7 +173,6 @@ def gradcheck_suite(seed: int = 0) -> dict:
         "pow": (np.abs(x) + 0.5, lambda t: ad.tsum(ad.pow_const(t, 1.7))),
         "mean": (x, lambda t: ad.tmean(t * a)),
         "take_rows": (x, lambda t: ad.tsum(ad.take_rows(t, [0, 2, 0]) * 1.3)),
-        "ordered_sum": (x[0], lambda t: ad.ordered_sum(t * a[0], [True, False, True, True])),
         "column": (x, lambda t: ad.tsum(ad.column(t, 1) * 1.5)),
         "outer_flatten": (x[:, :2] + 1.0,
                           lambda t: ad.tsum(ad.outer_flatten(t, Tensor(v)) * w[:, :4])),
@@ -195,10 +194,8 @@ def gradcheck_suite(seed: int = 0) -> dict:
     dlogits = rng.normal(size=(5,))
     w_s = 1.0 + rng.random(3)
     w_t = 1.0 + rng.random(2)
-    checks["adversarial_loss"] = (
-        dlogits,
-        lambda t: adversarial_loss(ad.sigmoid(ad.take_rows(t, [0, 1, 2])), w_s,
-                                   ad.sigmoid(ad.take_rows(t, [3, 4])), w_t))
+    checks["adversarial_loss"] = (dlogits,
+                                  lambda t: adversarial_loss(ad.sigmoid(t), w_s, w_t))
 
     report = {}
     for name, (x0, build) in checks.items():

@@ -1,10 +1,12 @@
-"""The fused adversarial head must reproduce the chains it replaced bit for bit.
+"""The fused adversarial head must equal its references bit for bit.
 
-``reference_scatter_map`` and ``reference_adversarial_loss`` below are the
-``clamp``/``pow_const``/``tsum``/``div`` and
-``clamp``/``log``/``mul``/``tsum``/``div``/``sub``/``add`` graphs that
-``losses.scatter_map`` and ``losses.adversarial_loss`` used to build.
-Training records depend on every bit of them, so values and input gradients
+``reference_scatter_map`` below is the ``clamp``/``pow_const``/``tsum``/``div``
+graph that ``losses.scatter_map`` used to build.  ``reference_adversarial_loss``
+states in plain NumPy the arithmetic of ``losses.adversarial_loss`` on one
+stacked batch, and ``reference_adversarial_step`` that of a whole
+``train._adversarial_step``: G, F, the scatter map, the outer product, the
+reversal layer and D run once on the source rows followed by the target
+rows.  Training records depend on every bit of them, so values and gradients
 are compared byte for byte (signed zeros included).  The last tests pin the
 ``owned`` first-gradient rule of ``autodiff``.
 """
@@ -13,9 +15,8 @@ import numpy as np
 import pytest
 
 import clarinet.autodiff as ad
-import clarinet.train as train_mod
 from clarinet.autodiff import Tape, Tensor
-from clarinet.errors import NonFiniteValue
+from clarinet.errors import NonFiniteValue, ShapeMismatch
 from clarinet.losses import PROB_FLOOR, adversarial_loss, entropy_weight, scatter_map
 from clarinet.models import build_triplet, default_specs
 from clarinet.train import TrainConfig, _adversarial_step
@@ -28,19 +29,20 @@ def reference_scatter_map(probs, l):
     return powered / denom
 
 
-def reference_adversarial_loss(d_source, w_source, d_target, w_target):
-    w_source = np.asarray(w_source, dtype=np.float64)
-    w_target = np.asarray(w_target, dtype=np.float64)
+def reference_adversarial_loss(d, w_source, w_target, upstream):
+    """Value of the weighted adversarial loss of the stacked outputs ``d``
+    (source rows first) and the gradient that ``upstream`` sends to ``d``."""
     eps = 1e-12
-    ds = ad.clamp(d_source, lo=eps, hi=1.0 - eps)
-    dt = ad.clamp(d_target, lo=eps, hi=1.0 - eps)
-    if ds.data.ndim == 2:
-        w_source = w_source.reshape(-1, 1)
-    if dt.data.ndim == 2:
-        w_target = w_target.reshape(-1, 1)
-    s_term = ad.tsum(Tensor(w_source) * ad.log(ds)) / float(w_source.sum())
-    t_term = ad.tsum(Tensor(w_target) * ad.log(1.0 - dt)) / float(w_target.sum())
-    return s_term + t_term
+    n_s = len(w_source)
+    x = d.reshape(-1)
+    p = np.clip(x, eps, 1.0 - eps)
+    source = np.arange(len(x)) < n_s
+    u = np.where(source, p, 1.0 - p)
+    scale = np.concatenate([w_source / w_source.sum(), w_target / w_target.sum()])
+    sign = np.where(source, 1.0, -1.0)
+    inside = (x >= eps) & (x <= 1.0 - eps)
+    grad = upstream * scale / u * sign * inside + 0.0
+    return (scale * np.log(u)).sum(), grad.reshape(d.shape)
 
 
 def assert_same_bits(a, b):
@@ -134,83 +136,125 @@ def discriminator_outputs(rng, n, two_d):
 
 
 class TestAdversarialLoss:
+    @staticmethod
+    def compare(d, w_s, w_t, upstream):
+        tape = Tape()
+        x = Tensor(d, tape=tape)
+        out = adversarial_loss(x, w_s, w_t)
+        backward_from(tape, out, upstream)
+        value, grad = reference_adversarial_loss(d, w_s, w_t, upstream)
+        assert_same_bits(out.data, np.float64(value))
+        assert_same_bits(x.grad, grad)
+
     @pytest.mark.parametrize("two_d", [False, True])
     @pytest.mark.parametrize("upstream", [1.0, -0.0, 0.0, -2.5])
     def test_matches_the_chain(self, two_d, upstream):
         rng = np.random.default_rng([int(two_d), 7])
-        d_s = discriminator_outputs(rng, 12, two_d)
-        d_t = discriminator_outputs(rng, 9, two_d)
-        w_s = 1.0 + rng.random(12)
-        w_t = 1.0 + rng.random(9)
-
-        def fused(s, t):
-            return adversarial_loss(s, w_s, t, w_t)
-
-        def reference(s, t):
-            return reference_adversarial_loss(s, w_s, t, w_t)
-
-        compare(fused, reference, [d_s, d_t], np.float64(upstream))
+        d = np.concatenate([discriminator_outputs(rng, 12, two_d),
+                            discriminator_outputs(rng, 9, two_d)])
+        self.compare(d, 1.0 + rng.random(12), 1.0 + rng.random(9), np.float64(upstream))
 
     def test_entropy_weights_from_scattered_predictions(self):
         rng = np.random.default_rng(11)
-        _, w_s = entropy_weight(scatter_map(Tensor(probabilities(rng, 16, 4)), 0.5).data)
-        _, w_t = entropy_weight(scatter_map(Tensor(probabilities(rng, 16, 4)), 0.5).data)
-        d = [discriminator_outputs(rng, 16, True) for _ in range(2)]
+        _, w = entropy_weight(scatter_map(Tensor(probabilities(rng, 32, 4)), 0.5).data)
+        d = discriminator_outputs(rng, 32, True)
+        self.compare(d, w[:16], w[16:], np.float64(1.0))
 
-        def fused(s, t):
-            return adversarial_loss(s, w_s, t, w_t)
-
-        def reference(s, t):
-            return reference_adversarial_loss(s, w_s, t, w_t)
-
-        compare(fused, reference, d, np.float64(1.0))
-
-    def test_target_gradient_is_passed_on_before_the_source(self):
-        # one input on both sides after an earlier contribution: the three
-        # gradients must be added in the old chain's order
-        rng = np.random.default_rng(13)
-        x0 = discriminator_outputs(rng, 64, False)
-        k = rng.normal(size=64)
-        w_s, w_t = 1.0 + rng.random(64), 1.0 + rng.random(64)
-
-        def fused(x):
-            return adversarial_loss(x, w_s, x, w_t) + ad.tsum(x * k)
-
-        def reference(x):
-            return reference_adversarial_loss(x, w_s, x, w_t) + ad.tsum(x * k)
-
-        compare(fused, reference, [x0], np.float64(1.0))
+    def test_row_count_must_match_the_weights(self):
+        with pytest.raises(ShapeMismatch, match="3 outputs for 2 \\+ 2 weights"):
+            adversarial_loss(Tensor([0.2, 0.7, 0.4]), np.ones(2), np.ones(2))
 
     def test_one_node_named_in_non_finite_errors(self):
         tape = Tape()
-        s = Tensor([0.2, 0.7], tape=tape)
-        t = Tensor([0.4], tape=tape)
-        adversarial_loss(s, np.ones(2), t, np.ones(1))
-        assert len(tape._nodes) == 3
+        adversarial_loss(Tensor([0.2, 0.7, 0.4], tape=tape), np.ones(2), np.ones(1))
+        assert len(tape._nodes) == 2            # the input leaf and one node
         with pytest.raises(NonFiniteValue, match="adversarial_loss"):
-            adversarial_loss(Tensor([np.nan]), np.ones(1), Tensor([0.5]), np.ones(1))
+            adversarial_loss(Tensor([np.nan, 0.5]), np.ones(1), np.ones(1))
 
 
-def test_adversarial_step_matches_the_chains(monkeypatch):
-    """A whole adversarial step, with and without the fused nodes, leaves the
-    same parameters and momentum buffers."""
+def mlp_forward(net, x):
+    """Output of an affine/relu stack as ``Network.forward`` computes it, with
+    each affine layer's input and each relu's mask, before the head."""
+    inputs, masks = [], []
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(x)
+        x = x @ w.value
+        x += b.value
+        if i < last:
+            masks.append(x > 0.0)
+            x = x * masks[-1]
+    return x, inputs, masks
+
+
+def mlp_backward(net, inputs, masks, g, grads):
+    """Walk ``g`` back through the stack, storing each parameter's gradient
+    in ``grads``; returns the gradient that reaches the stack's input."""
+    for i in reversed(range(len(net.weights))):
+        w, b = net.weights[i], net.biases[i]
+        if i < len(masks):
+            g = g * masks[i] + 0.0
+        grads[id(w)] = inputs[i].T @ g + 0.0
+        grads[id(b)] = g.sum(axis=0) + 0.0
+        g = (g * w.value.T if w.shape[1] == 1 else g @ w.value.T) + 0.0
+    return g
+
+
+def reference_adversarial_step(triplet, src, tgt, lam, l):
+    """Loss and parameter gradients of one conditional adversarial step."""
+    grads = {}
+    n_s = len(src)
+    g, g_in, g_masks = mlp_forward(triplet.G, np.concatenate([src, tgt]))
+    z, f_in, f_masks = mlp_forward(triplet.F, g)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    c = 1.0 / l
+    clipped = np.clip(probs, PROB_FLOOR, 1.0)
+    powered = np.power(clipped, c)
+    denom = powered.sum(axis=-1, keepdims=True)
+    mapped = powered / denom
+    n, d_g = g.shape
+    K = mapped.shape[1]
+    feat = (g[:, :, None] * mapped[:, None, :]).reshape(n, d_g * K)
+    o, d_in, d_masks = mlp_forward(triplet.D, feat)
+    e = np.exp(-np.abs(o))
+    out = np.where(o >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    plogp = np.where(mapped > 0.0, mapped * np.log(np.clip(mapped, PROB_FLOOR, 1.0)), 0.0)
+    w = 1.0 + np.exp(plogp.sum(axis=-1))
+    loss, g_out = reference_adversarial_loss(out, w[:n_s], w[n_s:], np.float64(1.0))
+
+    g_feat = mlp_backward(triplet.D, d_in, d_masks, g_out * out * (1.0 - out) + 0.0, grads)
+    g3 = (-lam * g_feat + 0.0).reshape(n, d_g, K)
+    g_g = np.einsum("ndk,nk->nd", g3, mapped) + 0.0
+    g_mapped = np.einsum("ndk,nd->nk", g3, g) + 0.0
+    g_den = (-g_mapped * powered / (denom * denom)).sum(axis=-1, keepdims=True) + 0.0
+    g_pow = (g_mapped / denom + 0.0) + g_den
+    inside = (probs >= PROB_FLOOR) & (probs <= 1.0)
+    g_probs = g_pow * c * np.power(clipped, c - 1.0) * inside + 0.0
+    dot = (g_probs * probs).sum(axis=-1, keepdims=True)
+    g_z = probs * (g_probs - dot) + 0.0
+    # G's output feeds the outer product and F; the tape reaches the outer
+    # product first
+    g_g = g_g + mlp_backward(triplet.F, f_in, f_masks, g_z, grads)
+    mlp_backward(triplet.G, g_in, g_masks, g_g, grads)
+    return loss, grads
+
+
+def test_adversarial_step_matches_the_chains():
+    """Three whole adversarial steps give the reference's loss and parameter
+    gradients, each step from the parameters the last one left."""
     rng = np.random.default_rng(17)
     src = rng.normal(size=(32, 2))
-    tgt = rng.normal(size=(32, 2))
+    tgt = rng.normal(size=(24, 2))
     config = TrainConfig(K=4, l=0.5, hidden=8, d_g=4)
-    results = []
-    for fused in (True, False):
-        if not fused:
-            monkeypatch.setattr(train_mod, "scatter_map", reference_scatter_map)
-            monkeypatch.setattr(train_mod, "adversarial_loss", reference_adversarial_loss)
-        triplet = build_triplet(*default_specs(2, 4, d_g=4, hidden=8), seed=5)
-        losses = [_adversarial_step(triplet, src, tgt, 0.7, config) for _ in range(3)]
+    triplet = build_triplet(*default_specs(2, 4, d_g=4, hidden=8), seed=5)
+    for _ in range(3):
+        loss, grads = reference_adversarial_step(triplet, src, tgt, 0.7, config.l)
+        assert _adversarial_step(triplet, src, tgt, 0.7, config) == loss
         params = triplet.classifier_params + triplet.discriminator_params
-        results.append((losses, [p.value for p in params], [p.momentum for p in params]))
-    assert results[0][0] == results[1][0]
-    for fused_arrays, ref_arrays in zip(results[0][1:], results[1][1:]):
-        for a, b in zip(fused_arrays, ref_arrays):
-            assert_same_bits(a, b)
+        assert len(grads) == len(params)
+        for p in params:
+            assert_same_bits(p.grad, grads[id(p)])
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +293,8 @@ OWNED_SITES = {
     "matmul_one_column": (lambda x: ad.matmul(x, Tensor([[-1.0], [-2.0]])),
                           [[-1.5, 2.0]], [[0.0]]),
     "adversarial_loss_target": (
-        lambda x: adversarial_loss(Tensor([0.5]), np.ones(1), x, np.ones(2)),
-        [0.0, 0.5], 1.0),
+        lambda x: adversarial_loss(x, np.ones(1), np.ones(2)),
+        [0.5, 0.0, 0.5], 1.0),
 }
 
 

@@ -190,31 +190,6 @@ class TestGradientRules:
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
-class TestOrderedSum:
-    def test_matches_an_add_chain_bit_for_bit(self):
-        v = np.random.default_rng(5).normal(size=10)
-        chain = Tensor(v[0])
-        for x in v[1:]:
-            chain = chain + x
-        assert ad.ordered_sum(Tensor(v)).item() == chain.item()
-        # NumPy's pairwise sum rounds this vector differently
-        assert ad.tsum(Tensor(v)).item() != chain.item()
-
-    def test_mask_selects_entries_and_routes_the_gradient(self):
-        tape = Tape()
-        x = Tensor([1.0, -2.0, 3.0], tape=tape)
-        out = ad.ordered_sum(x, [True, False, True])
-        tape.backward(out)
-        assert out.item() == 4.0
-        assert np.array_equal(x.grad, [1.0, 0.0, 1.0])
-
-    def test_empty_mask_and_2d_input_rejected(self):
-        with pytest.raises(ContractError, match="keeping an entry"):
-            ad.ordered_sum(Tensor([1.0, 2.0]), [False, False])
-        with pytest.raises(ShapeMismatch, match="1-D"):
-            ad.ordered_sum(Tensor(np.ones((2, 2))))
-
-
 class TestGradReverse:
     def test_forward_identity(self):
         x = Tensor([0.3, 0.7])

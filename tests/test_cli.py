@@ -1,6 +1,7 @@
 import builtins
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,25 @@ class TestTrain:
         agg = json.loads((out / "clarinet_aggregate.json").read_text())
         assert 0.0 <= agg["final_target_acc_mean"] <= 1.0
 
+    def test_prepared_task_trains_as_the_raw_task(self, tmp_path):
+        # prepare and train draw the complementary labels alike, so training
+        # on the prepared files repeats the raw task's run
+        raw = write_config(tmp_path, task=dict(SMALL_TASK, subsample=150))
+        prep = tmp_path / "prep"
+        assert main(["prepare", "--config", str(raw), "--out", str(prep), "--seed", "3"]) == 0
+        task = {"type": "prepared", "manifest": str(prep / "manifest.json"),
+                "source_csv": str(prep / "source_comp.csv"),
+                "target_csv": str(prep / "target.csv")}
+        (tmp_path / "p").mkdir()
+        records = []
+        for name, cfg in (("raw", raw), ("prepared", write_config(tmp_path / "p", task=task))):
+            out = tmp_path / name
+            assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+            lines = (out / "clarinet_seed3.csv").read_text().splitlines()
+            records.append([line.rsplit(",", 1)[0] for line in lines])
+        assert len(records[0]) == 1 + 3
+        assert records[0] == records[1]
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, gamma1=-1.0)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
@@ -238,11 +258,49 @@ class TestTaskFields:
         assert json.loads((out / "manifest.json").read_text())["K"] == 4
 
 
+class TestTaskFiles:
+    """The file fields of idx and prepared tasks are non-empty strings; an
+    integer would be opened as a file descriptor, and 0 would read stdin."""
+
+    TASKS = {
+        "idx": {"type": "idx", "source_images": "a", "source_labels": "b",
+                "target_images": "c", "target_labels": "d"},
+        "prepared": {"type": "prepared", "manifest": "m", "source_csv": "s",
+                     "target_csv": "t"},
+    }
+
+    @pytest.mark.parametrize("verb", ["prepare", "train"])
+    @pytest.mark.parametrize("kind, field", [
+        ("idx", "source_images"), ("idx", "target_labels"),
+        ("prepared", "manifest"), ("prepared", "source_csv"), ("prepared", "target_csv"),
+    ])
+    @pytest.mark.parametrize("value", [5, 0, "", ["a"], None, "missing"])
+    def test_bad_file_field_exits_2(self, tmp_path, capsys, verb, kind, field, value):
+        task = dict(self.TASKS[kind])
+        if value == "missing":
+            del task[field]
+        else:
+            task[field] = value
+        cfg = write_config(tmp_path, task=task)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        shown = None if value == "missing" else value
+        assert err == "config error: task.%s must be a non-empty string, got %r\n" % (field,
+                                                                                     shown)
+        assert not out.exists()
+
+
 class TestVerify:
     def test_passing_suite_exits_0(self, tmp_path, capsys):
         assert main(["verify", "tmap", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_tmap.json").read_text())
         assert report["passed"] is True
+        assert '"passed": true' in capsys.readouterr().out
+
+    def test_gradcheck_at_seed_2049_exits_0(self, capsys):
+        # the div check's input once came within 4.2e-4 of the pole here
+        assert main(["verify", "gradcheck", "--seed", "2049"]) == 0
         assert '"passed": true' in capsys.readouterr().out
 
     def test_failing_suite_exits_1(self, monkeypatch, capsys):
@@ -367,9 +425,11 @@ class TestNonFiniteCheckpoint:
 def test_eval_names_an_empty_csv(tmp_path, capsys, saved_model):
     empty = tmp_path / "empty.csv"
     empty.write_text("x0,x1,label\n")
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["eval", str(saved_model[0]), str(empty)]) == 2
-    assert "dataset %r is empty" % str(empty) in capsys.readouterr().err
+    assert caught == []
+    assert capsys.readouterr().err == "config error: dataset %r is empty\n" % str(empty)
 
 
 @pytest.fixture

@@ -1,87 +1,59 @@
-"""The fused complementary risk must reproduce the per-class graph bit for bit.
+"""The complementary risk must equal its plain-NumPy statement bit for bit.
 
-``reference_total_comp_loss`` below is the per-class graph that
-``losses.total_comp_loss`` used to build: K+1 ``take_rows``/``tsum`` terms per
-class, joined by ``add`` nodes.  Training records and oracle outputs depend on
-every bit of it, so values and gradients are compared with ``np.array_equal``.
+``reference`` below states in plain NumPy the arithmetic of
+``losses.comp_loss_vector`` and of the ``tsum`` nodes ``total_comp_loss`` and
+``class_comp_loss`` build on it: with ``coef = (1 - (K-1) onehot(ybar)) / n``
+the per-class losses are ``(coef * CE).sum(axis=0)``, and an upstream
+gradient ``g`` of them reaches the probabilities as
+``g * coef / -clip(P) * inside``.  Training records and oracle outputs depend
+on every bit of it, so values and gradients are compared with
+``np.array_equal``, the sign of zero included.
 """
 
 import numpy as np
 import pytest
 
-import clarinet.autodiff as ad
 from clarinet.autodiff import Tape, Tensor
 from clarinet.complabel import partition_batch
-from clarinet.losses import class_comp_loss, cross_entropy_to_class, total_comp_loss
+from clarinet.losses import PROB_FLOOR, class_comp_loss, total_comp_loss
 
 
-def reference_class_comp_loss(probs, partition, k):
-    K = partition.K
-    ce_k = cross_entropy_to_class(probs, k)
-    terms = []
-    idx_k = partition.subsets[k - 1]
-    n_k = partition.counts[k - 1]
-    if n_k > 0:
-        w = (K - 1.0) * partition.priors[k - 1] / n_k
-        terms.append(-w * ad.tsum(ad.take_rows(ce_k, idx_k)))
-    for j in range(K):
-        n_j = partition.counts[j]
-        if n_j == 0:
-            continue
-        w = partition.priors[j] / n_j
-        terms.append(w * ad.tsum(ad.take_rows(ce_k, partition.subsets[j])))
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
+def reference(P, labels, K):
+    """Per-class losses, ``total``, ``l_neg`` and, per backward target, the
+    gradient reaching ``P``; ``grad_l_neg`` only when a class is negative."""
+    n = len(labels)
+    coef = (1.0 - (K - 1.0) * (labels[:, None] == np.arange(1, K + 1))) / n
+    clipped = np.clip(P, PROB_FLOOR, 1.0)
+    inside = (P >= PROB_FLOOR) & (P <= 1.0)
+    per_class = (coef * -np.log(clipped)).sum(axis=0)
+    negative = per_class < 0.0
+    out = {"per_class": per_class, "total": per_class.sum(),
+           "l_neg": (per_class * negative).sum() if negative.any() else 0.0}
+    # the upstream gradient of the per-class vector: a tsum's ones, masked by
+    # the l_neg product with the negative entries
+    upstreams = {"total": np.ones(K)}
+    if negative.any():
+        upstreams["l_neg"] = np.ones(K) * negative + 0.0
+    for target, g in upstreams.items():
+        out["grad_" + target] = g * coef / -clipped * inside + 0.0
     return out
 
 
-def reference_total_comp_loss(probs, partition):
-    """(per-class tape scalars, total, l_neg) of the per-class graph."""
-    per_class = [reference_class_comp_loss(probs, partition, k)
-                 for k in range(1, partition.K + 1)]
-    total = per_class[0]
-    for t in per_class[1:]:
-        total = total + t
-    negatives = [t for t in per_class if t.item() < 0.0]
-    if negatives:
-        l_neg = negatives[0]
-        for t in negatives[1:]:
-            l_neg = l_neg + t
-    else:
-        l_neg = Tensor(0.0)
-    return per_class, total, l_neg
-
-
-def run_both(logits, labels, K):
-    """Values and softmax-input gradients of the reference and the fused loss.
-
-    Returns one dict per implementation with keys ``per_class``, ``total``,
-    ``l_neg`` and, per backward target, ``grad_total`` / ``grad_l_neg``.
-    """
+def run_fused(P, labels, K):
+    """The same quantities from ``total_comp_loss`` on a tape."""
     partition = partition_batch(labels, K)
-    results = []
-    for fused in (False, True):
-        out = {}
-        for target in ("total", "l_neg"):
-            tape = Tape()
-            z = Tensor(logits, tape=tape)
-            probs = ad.softmax(z)
-            if fused:
-                b = total_comp_loss(probs, partition)
-                per_class, total, l_neg = b.per_class_values, b.total, b.l_neg
-            else:
-                pcs, total, l_neg = reference_total_comp_loss(probs, partition)
-                per_class = np.array([t.item() for t in pcs])
-            out["per_class"] = per_class
-            out["total"] = total.item()
-            out["l_neg"] = l_neg.item()
-            node = total if target == "total" else l_neg
-            if node.tape is tape:
-                tape.backward(node)
-                out["grad_" + target] = z.grad
-        results.append(out)
-    return results
+    out = {}
+    for target in ("total", "l_neg"):
+        tape = Tape()
+        probs = Tensor(P, tape=tape)
+        b = total_comp_loss(probs, partition)
+        out.update(per_class=b.per_class_values, total=b.total.item(),
+                   l_neg=b.l_neg.item())
+        node = b.total if target == "total" else b.l_neg
+        if node.tape is tape:
+            tape.backward(node)
+            out["grad_" + target] = probs.grad
+    return out
 
 
 def assert_identical(ref, fused):
@@ -92,30 +64,36 @@ def assert_identical(ref, fused):
         assert np.array_equal(np.signbit(ref[key]), np.signbit(fused[key])), key
 
 
+def softmax(logits):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def random_batch(rng, n, K, scale):
-    return rng.normal(scale=scale, size=(n, K)), rng.integers(1, K + 1, size=n)
+    return softmax(rng.normal(scale=scale, size=(n, K))), rng.integers(1, K + 1, size=n)
 
 
-@pytest.mark.parametrize("K", [2, 4, 10])
+@pytest.mark.parametrize("K", [2, 4, 5, 10])
 @pytest.mark.parametrize("n", [128, 80])
 @pytest.mark.parametrize("scale", [1.0, 40.0])
 def test_random_batches_match_bit_for_bit(K, n, scale):
     # scale 40 pushes some probabilities under PROB_FLOOR, where the clamp
-    # cuts the gradient
+    # cuts the gradient; with K=5 the weight K-2 is no power of two, so
+    # (K-2)/n and (K-2)*(1/n) can round apart
     rng = np.random.default_rng([K, n, int(scale)])
     for _ in range(3):
-        logits, labels = random_batch(rng, n, K, scale)
-        ref, fused = run_both(logits, labels, K)
-        assert_identical(ref, fused)
+        P, labels = random_batch(rng, n, K, scale)
+        if scale > 1.0:
+            assert (P < PROB_FLOOR).any()
+        assert_identical(reference(P, labels, K), run_fused(P, labels, K))
 
 
 @pytest.mark.parametrize("K", [4, 10])
 def test_batch_with_an_empty_class(K):
     rng = np.random.default_rng(K)
-    logits, labels = random_batch(rng, 80, K, 2.0)
+    P, labels = random_batch(rng, 80, K, 2.0)
     labels[labels == 2] = 1
-    ref, fused = run_both(logits, labels, K)
-    assert_identical(ref, fused)
+    assert_identical(reference(P, labels, K), run_fused(P, labels, K))
 
 
 @pytest.mark.parametrize("K", [4, 10])
@@ -124,21 +102,23 @@ def test_batch_with_some_negative_classes(K):
     # on that label, which drives those classes negative (for K=2 a class
     # loss is a sum over the other subset alone and cannot go negative)
     rng = np.random.default_rng(100 + K)
-    logits, labels = random_batch(rng, 128, K, 1.0)
+    logits = rng.normal(size=(128, K))
+    labels = rng.integers(1, K + 1, size=128)
     low = labels <= K // 2
     logits[np.flatnonzero(low), labels[low] - 1] = -12.0
-    ref, fused = run_both(logits, labels, K)
+    P = softmax(logits)
+    fused = run_fused(P, labels, K)
     negatives = int((fused["per_class"] < 0.0).sum())
     assert 0 < negatives < K
     assert "grad_l_neg" in fused
-    assert_identical(ref, fused)
+    assert_identical(reference(P, labels, K), fused)
 
 
 def test_class_comp_loss_is_the_vector_entry():
     rng = np.random.default_rng(7)
-    logits, labels = random_batch(rng, 128, 4, 1.0)
-    probs = ad.softmax(Tensor(logits))
+    P, labels = random_batch(rng, 128, 4, 1.0)
+    per_class = reference(P, labels, 4)["per_class"]
     partition = partition_batch(labels, 4)
     for k in range(1, 5):
-        ref = reference_class_comp_loss(probs, partition, k).item()
-        assert class_comp_loss(probs, partition, k).item() == ref
+        expected = (per_class * (np.arange(4) == k - 1)).sum()
+        assert class_comp_loss(Tensor(P), partition, k).item() == expected == per_class[k - 1]

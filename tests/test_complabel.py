@@ -117,29 +117,19 @@ class TestRecoverPosterior:
 
 
 class TestPartition:
-    def test_counting_example(self):
+    def test_labels_are_kept(self):
         p = partition_batch([1, 1, 3], 3)
-        assert np.array_equal(p.counts, [2, 0, 1])
-        assert np.allclose(p.priors, [2 / 3, 0.0, 1 / 3])
+        assert p.K == 3
+        assert np.array_equal(p.labels, [1, 1, 3])
 
     def test_degenerate_single_class(self):
         p = partition_batch([2, 2, 2], 4)
-        assert np.allclose(p.priors, [0, 1, 0, 0])
+        assert np.array_equal(p.labels, [2, 2, 2])
 
-    def test_priors_sum_to_one(self):
-        rng = np.random.default_rng(5)
-        labels = rng.integers(1, 11, size=128)
-        p = partition_batch(labels, 10)
-        assert abs(p.priors.sum() - 1.0) < 1e-12
-
-    def test_reconstruction_is_a_permutation(self):
-        rng = np.random.default_rng(6)
-        labels = rng.integers(1, 5, size=37)
-        p = partition_batch(labels, 4)
-        gathered = np.concatenate(p.subsets)
-        assert sorted(gathered) == list(range(37))
-        for k in range(4):
-            assert np.all(labels[p.subsets[k]] == k + 1)
+    @pytest.mark.parametrize("labels", [[0, 1], [1, 4]])
+    def test_out_of_range_label_rejected(self, labels):
+        with pytest.raises(ContractError, match="out of range"):
+            partition_batch(labels, 3)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):

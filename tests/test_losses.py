@@ -172,21 +172,21 @@ class TestEntropyWeight:
 
 class TestAdversarialLoss:
     def test_constant_half_discriminator(self):
-        loss = adversarial_loss(Tensor(np.full(3, 0.5)), np.array([2.0, 1.0, 5.0]),
-                                Tensor(np.full(2, 0.5)), np.array([1.0, 9.0]))
+        loss = adversarial_loss(Tensor(np.full(5, 0.5)), np.array([2.0, 1.0, 5.0]),
+                                np.array([1.0, 9.0]))
         assert loss.item() == pytest.approx(2 * np.log(0.5), abs=1e-12)
 
     def test_equal_weights_reduce_to_means(self):
         rng = np.random.default_rng(2)
         ds = rng.uniform(0.1, 0.9, size=4)
         dt = rng.uniform(0.1, 0.9, size=3)
-        loss = adversarial_loss(Tensor(ds), np.ones(4), Tensor(dt), np.ones(3))
+        loss = adversarial_loss(Tensor(np.concatenate([ds, dt])), np.ones(4), np.ones(3))
         expected = np.log(ds).mean() + np.log(1 - dt).mean()
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
     def test_hand_arithmetic(self):
-        loss = adversarial_loss(Tensor(np.array([0.9, 0.5])), np.array([2.0, 1.0]),
-                                Tensor(np.array([0.2])), np.array([1.0]))
+        loss = adversarial_loss(Tensor(np.array([0.9, 0.5, 0.2])), np.array([2.0, 1.0]),
+                                np.array([1.0]))
         expected = (2 * np.log(0.9) + np.log(0.5)) / 3 + np.log(0.8)
         assert loss.item() == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(-0.5244, abs=5e-5)
@@ -196,14 +196,13 @@ class TestAdversarialLoss:
         for _ in range(20):
             ds = rng.uniform(1e-6, 1 - 1e-6, size=5)
             dt = rng.uniform(1e-6, 1 - 1e-6, size=4)
-            loss = adversarial_loss(Tensor(ds), 1 + rng.random(5),
-                                    Tensor(dt), 1 + rng.random(4))
+            loss = adversarial_loss(Tensor(np.concatenate([ds, dt])), 1 + rng.random(5),
+                                    1 + rng.random(4))
             assert loss.item() <= 0.0
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ContractError):
-            adversarial_loss(Tensor(np.zeros(0)), np.zeros(0),
-                             Tensor(np.array([0.5])), np.ones(1))
+            adversarial_loss(Tensor(np.array([0.5])), np.zeros(0), np.ones(1))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -212,8 +211,7 @@ class TestAdversarialLoss:
         w_t = 1 + rng.random(2)
 
         def build(z):
-            return adversarial_loss(ad.sigmoid(ad.take_rows(z, [0, 1, 2, 3])), w_s,
-                                    ad.sigmoid(ad.take_rows(z, [4, 5])), w_t)
+            return adversarial_loss(ad.sigmoid(z), w_s, w_t)
 
         tape = Tape()
         z = Tensor(z0, tape=tape)

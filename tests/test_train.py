@@ -204,16 +204,11 @@ class TestAlgorithmMechanics:
         feats_s, feats_t = source.features[:32], tgt.features[:32]
 
         tape = Tape()
-        gs = twin.G.forward(tape, Tensor(feats_s))
-        gt = twin.G.forward(tape, Tensor(feats_t))
-        fs = twin.F.forward(tape, gs)
-        ft = twin.F.forward(tape, gt)
-        feat_s = conditional_feature(gs, fs, config.l)
-        feat_t = conditional_feature(gt, ft, config.l)
-        _, w_s = entropy_weight(scatter_map(Tensor(fs.data.copy()), config.l).data)
-        _, w_t = entropy_weight(scatter_map(Tensor(ft.data.copy()), config.l).data)
-        loss = adversarial_loss(twin.D.forward(tape, feat_s), w_s,
-                                twin.D.forward(tape, feat_t), w_t)
+        g = twin.G.forward(tape, Tensor(np.concatenate([feats_s, feats_t])))
+        f = twin.F.forward(tape, g)
+        feat = conditional_feature(g, f, config.l)
+        _, w = entropy_weight(scatter_map(Tensor(f.data.copy()), config.l).data)
+        loss = adversarial_loss(twin.D.forward(tape, feat), w[:32], w[32:])
         for p in twin.classifier_params + twin.discriminator_params:
             p.zero_grad()
         tape.backward(loss)
