@@ -6,8 +6,7 @@ two-step pseudo-label baseline, two ablations, and standalone mathematical
 verification oracles.
 """
 
-from .autodiff import (Parameter, Tape, Tensor, grad_reverse, gradients,
-                       outer_flatten)
+from .autodiff import Parameter, Tape, Tensor, grad_reverse, outer_flatten
 from .complabel import (BatchPartition, ComplementaryDataset, TransitionMatrix,
                         generate_complementary, partition_batch,
                         recover_posterior, transition_matrix)

@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation on dense float64 arrays.
 
 A ``Tape`` records operations eagerly as tensors are combined; calling
-``Tape.backward`` on a scalar output walks the recorded list once in reverse
-and accumulates exact gradients into every reachable ``Parameter``.  One
-backward pass per tape; build a fresh tape for each training step.
+``Tape.backward`` on a scalar output walks the recorded list once in reverse.
+Parameters are not tape nodes: ``mlp``, the one op that reads them, adds
+their gradients into ``Parameter.grad`` in its backward.  One backward pass
+per tape; build a fresh tape for each training step.
 
 Recorded tensors and their tape refer to each other.  ``Tape.backward`` drops
 the recorded list once it has run, so a spent tape and its graph are freed by
@@ -60,16 +61,15 @@ class Tensor:
     arithmetic but receive no gradient.
     """
 
-    __slots__ = ("data", "tape", "param", "grad", "_backward")
+    __slots__ = ("data", "tape", "grad", "_backward")
 
     # make numpy defer to the reflected operators instead of broadcasting into
     # an object array
     __array_ufunc__ = None
 
-    def __init__(self, data, tape=None, param=None):
+    def __init__(self, data, tape=None):
         self.data = _as_f64(data)
         self.tape = tape
-        self.param = param
         self.grad = None
         self._backward = None
         if tape is not None:
@@ -142,10 +142,6 @@ class Tape:
     def _record(self, t: Tensor):
         self._nodes.append(t)
 
-    def leaf(self, param: Parameter) -> Tensor:
-        """Attach a parameter to this tape as a differentiable leaf."""
-        return Tensor(param.value, tape=self, param=param)
-
     def backward(self, out: Tensor):
         """Backpropagate from a scalar output; parameter gradients accumulate additively."""
         if out.tape is not self:
@@ -159,20 +155,8 @@ class Tape:
         nodes, self._nodes = self._nodes, []
         out.grad = np.ones_like(out.data)
         for t in reversed(nodes):
-            if t.grad is None:
-                continue
-            if t._backward is not None:
+            if t.grad is not None and t._backward is not None:
                 t._backward(t.grad)
-            if t.param is not None:
-                t.param.grad += t.grad
-
-
-def gradients(tape: Tape, out: Tensor, params) -> dict:
-    """Backward pass returning {parameter: gradient copy}; unvisited parameters get zero."""
-    for p in params:
-        p.zero_grad()
-    tape.backward(out)
-    return {p: p.grad.copy() for p in params}
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +311,34 @@ def relu(x):
     return _make("relu", x.data * mask, tape, backward)
 
 
+def _sigmoid(x):
+    # stable in both tails
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def _sigmoid_grad(out, g):
+    return g * out * (1.0 - out)
+
+
+def _softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(p, g):
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - dot)
+
+
 def sigmoid(x):
     x, tape = _coerce(x)
-    # stable in both tails
-    e = np.exp(-np.abs(x.data))
-    d = 1.0 + e
-    out = np.where(x.data >= 0, 1.0 / d, e / d)
+    out = _sigmoid(x.data)
 
     def backward(g):
-        x._accumulate(g * out * (1.0 - out), owned=True)
+        x._accumulate(_sigmoid_grad(out, g), owned=True)
 
     return _make("sigmoid", out, tape, backward)
 
@@ -343,15 +346,77 @@ def sigmoid(x):
 def softmax(x):
     """Row-wise softmax via the log-sum-exp shift; rows land on the simplex."""
     x, tape = _coerce(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(x.data)
 
     def backward(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        x._accumulate(p * (g - dot), owned=True)
+        x._accumulate(_softmax_grad(p, g), owned=True)
 
     return _make("softmax", p, tape, backward)
+
+
+_HEADS = {"none": None, "softmax": (_softmax, _softmax_grad),
+          "sigmoid": (_sigmoid, _sigmoid_grad)}
+
+
+def mlp(tape, x, weights, biases, head="none"):
+    """Affine layers (``Parameter`` weights and biases) with relu between them
+    and an optional 'softmax' or 'sigmoid' head, as one node on ``tape``.
+
+    Order contract: values and gradients equal, bit for bit, those of the
+    per-op chain ``matmul(h, w, b)``, ``relu``, ..., head.  The forward runs
+    the same IEEE operations in the same order (relu in place on the fresh
+    affine output) and checks each layer's output under that op's name.  The
+    backward replays the per-op rules, each intermediate first gradient's
+    ``+ 0.0`` included, and adds each parameter's gradient into
+    ``Parameter.grad``.  With ``tape=None`` nothing is recorded.
+    """
+    x, x_tape = _coerce(x)
+    if x_tape is not None and x_tape is not tape:
+        raise ContractError("mlp input is recorded on another tape")
+    if x.data.ndim != 2 or x.shape[1] != weights[0].shape[0]:
+        raise ShapeMismatch("mlp expects a 2-D input of width %d, got %s"
+                            % (weights[0].shape[0], x.shape))
+    inputs, masks = [], []
+    h = x.data
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(h)
+        h = h @ w.value
+        h += b.value
+        _check_finite("matmul", h)
+        if i < last:
+            masks.append(h > 0.0)
+            _check_finite("relu", np.multiply(h, masks[-1], out=h))
+    fns = _HEADS[head]
+    if fns is not None:
+        h = _check_finite(head, fns[0](h))
+    out = Tensor(h, tape=tape)
+    if tape is None:
+        return out
+
+    def backward(g):
+        if fns is not None:
+            g = fns[1](h, g)
+            np.add(g, 0.0, out=g)
+        for i in range(last, -1, -1):
+            if i < last:
+                g = g * masks[i]
+                np.add(g, 0.0, out=g)
+            w, b = weights[i], biases[i]
+            w.grad += inputs[i].T @ g
+            b.grad += g.sum(axis=0)
+            if i == 0 and x.tape is None:
+                break
+            # with one inner term each entry is a single product; after the
+            # first gradient's + 0.0 its bits equal the BLAS call's
+            g = g * w.value.T if w.shape[1] == 1 else g @ w.value.T
+            if i == 0:
+                x._accumulate(g, owned=True)
+            else:
+                np.add(g, 0.0, out=g)
+
+    out._backward = backward
+    return out
 
 
 def log(x):
@@ -455,7 +520,11 @@ def grad_reverse(x, lam: float):
 
 
 def outer_flatten(u, v):
-    """Row-wise flattened outer product: out[i, a*K + b] = u[i,a] * v[i,b]."""
+    """Row-wise flattened outer product: out[i, a*K + b] = u[i,a] * v[i,b].
+
+    ``einsum`` adds each product into a zeroed output, so a product of -0.0
+    comes out as +0.0; otherwise the bits are the broadcast product's.
+    """
     u, v, tape = _coerce(u, v)
     ud, vd = u.data, v.data
     squeeze = False
@@ -468,7 +537,7 @@ def outer_flatten(u, v):
         raise ContractError("outer_flatten got an empty operand")
     n, d = ud.shape
     k = vd.shape[1]
-    out = (ud[:, :, None] * vd[:, None, :]).reshape(n, d * k)
+    out = np.einsum("nd,nk->ndk", ud, vd).reshape(n, d * k)
 
     def backward(g):
         g3 = g.reshape(n, d, k)

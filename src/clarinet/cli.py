@@ -35,11 +35,16 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _load_config(path):
-    if path is None:
-        return {}
+def _read_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ContractError("%s is not JSON: %s" % (path, exc)) from None
+
+
+def _load_config(path):
+    return {} if path is None else _read_json(path)
 
 
 def _env_seed():
@@ -192,17 +197,19 @@ def _labelled_pair(task, seed):
 def _load_task(task, seed):
     """Returns (source ComplementaryDataset, target UnlabeledDataset, eval LabeledDataset)."""
     if task.get("type") == "prepared":
-        with open(task["manifest"]) as fh:
-            manifest = json.load(fh)
+        manifest = _read_json(task["manifest"])
+        K = manifest.get("K") if isinstance(manifest, dict) else None
+        if not (_is_int(K) and K >= 2):
+            raise ContractError("task.manifest K must be an integer >= 2, got %r" % (K,))
         feats, comp = read_csv(task["source_csv"])
         source = ComplementaryDataset(features=feats, comp_labels=comp,
-                                      K=manifest["K"], name="prepared")
+                                      K=K, name="prepared")
         tfeats, tlabels = read_csv(task["target_csv"])
         target = UnlabeledDataset(features=tfeats, name="prepared-target")
         eval_data = None
         if tlabels is not None:
             eval_data = LabeledDataset(features=tfeats, labels=tlabels,
-                                       K=manifest["K"], name="prepared-eval")
+                                       K=K, name="prepared-eval")
         return source, target, eval_data
     source, tgt = _labelled_pair(task, seed)
     return source, tgt.unlabeled(), tgt

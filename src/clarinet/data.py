@@ -121,7 +121,8 @@ def load_idx(images_path, labels_path, name: str = "") -> LabeledDataset:
         if n_labels != n:
             raise FormatError("labels count %d != images count %d" % (n_labels, n))
         labels = np.frombuffer(read_exact(fh, n_labels, labels_path), dtype=np.uint8)
-    features = images.astype(np.float64) / 255.0
+    features = images.astype(np.float64)
+    features /= 255.0
     labels = labels.astype(np.int64) + 1
     return LabeledDataset(features=features, labels=labels, K=int(labels.max()),
                           name=name or str(images_path))
@@ -187,15 +188,42 @@ def write_csv(path, features: np.ndarray, labels=None):
     np.savetxt(path, body, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
+def _bad_row(path, rows) -> str:
+    """Why ``np.loadtxt`` rejected ``rows``: the first field that is not a
+    number, or the first row whose width differs from the first row's."""
+    width = None
+    for i, line in enumerate(rows, start=1):
+        fields = line.split(",")
+        for j, value in enumerate(fields, start=1):
+            try:
+                float(value)
+            except ValueError:
+                return ("%s: data row %d, column %d: %r is not a number"
+                        % (path, i, j, value.strip()))
+        width = width or len(fields)
+        if len(fields) != width:
+            return ("%s: data row %d has %d values, data row 1 has %d"
+                    % (path, i, len(fields), width))
+    return "%s: the data rows are not a numeric table" % path
+
+
 def read_csv(path):
-    """Features and integer labels (None without a label column); a label that
-    is not a whole number is a FormatError, never truncated.  A file with no
-    data rows gives empty arrays, without NumPy's no-data warning."""
+    """Features and integer labels (None without a label column); a value
+    that is not a number, a row of another width than the others or the
+    header, or a label that is not a whole number is a FormatError, never
+    truncated.  A file with no data rows gives empty arrays, without NumPy's
+    no-data warning."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line for line in fh if line.strip()]
-    body = (np.loadtxt(rows, delimiter=",", ndmin=2) if rows
-            else np.empty((0, len(header))))
+    try:
+        body = (np.loadtxt(rows, delimiter=",", ndmin=2) if rows
+                else np.empty((0, len(header))))
+    except ValueError:
+        raise FormatError(_bad_row(path, rows)) from None
+    if body.shape[1] != len(header):
+        raise FormatError("%s: data rows have %d values, the header names %d columns"
+                          % (path, body.shape[1], len(header)))
     if header[-1] == "label":
         labels = body[:, -1]
         bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.trunc(labels))))

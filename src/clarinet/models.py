@@ -49,20 +49,23 @@ class Network:
         return self.weights + self.biases
 
     def forward(self, tape: Tape | None, x: Tensor) -> Tensor:
-        """Record the pass on ``tape``; with ``tape=None`` the parameters enter
-        as constants and nothing is recorded (inference)."""
-        leaf = tape.leaf if tape is not None else (lambda p: Tensor(p.value))
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.matmul(h, leaf(w), leaf(b))
-            if i < last:
-                h = ad.relu(h)
-        if self.spec.head == "softmax":
-            h = ad.softmax(h)
-        elif self.spec.head == "sigmoid":
-            h = ad.sigmoid(h)
-        return h
+        """Record the pass on ``tape`` as one node; with ``tape=None`` nothing
+        is recorded (inference)."""
+        return ad.mlp(tape, x, self.weights, self.biases, self.spec.head)
+
+
+def flat_side(params: list[Parameter]) -> Parameter:
+    """One parameter whose value, gradient and momentum buffers each hold all
+    of ``params`` end to end; every parameter in ``params`` becomes a view
+    into them, so the optimiser zeroes and steps a whole side at once."""
+    side = Parameter(np.concatenate([p.value.ravel() for p in params]))
+    start = 0
+    for p in params:
+        shape, stop = p.shape, start + p.value.size
+        p.value, p.grad, p.momentum = (buf[start:stop].reshape(shape) for buf in
+                                       (side.value, side.grad, side.momentum))
+        start = stop
+    return side
 
 
 @dataclass
@@ -70,7 +73,9 @@ class NetworkTriplet:
     """Feature extractor G, label predictor F, domain discriminator D.
 
     The parameter registry is split into the classifier side (G and F) and the
-    discriminator side (D); the two sides never share a parameter.
+    discriminator side (D); the two sides never share a parameter.  Each side
+    is also one flat ``Parameter`` (``classifier_side``, ``discriminator_side``)
+    whose buffers the per-layer parameters are views into.
     """
 
     G: Network
@@ -78,6 +83,12 @@ class NetworkTriplet:
     D: Network
     K: int
     specs: dict = field(default_factory=dict)
+    classifier_side: Parameter = field(init=False, repr=False)
+    discriminator_side: Parameter = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.classifier_side = flat_side(self.classifier_params)
+        self.discriminator_side = flat_side(self.discriminator_params)
 
     @property
     def classifier_params(self) -> list[Parameter]:

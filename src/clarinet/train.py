@@ -142,29 +142,24 @@ def evaluate(model, dataset: LabeledDataset) -> float:
     return float(np.mean(pred == dataset.labels))
 
 
-def _zero_grads(params):
-    for p in params:
-        p.zero_grad()
-
-
 def _classifier_step(triplet, feats, comp_labels, config):
     """Lines 5-13 of the per-iteration loop; returns (comp_loss, l_neg, ascended)."""
     tape = Tape()
     g = triplet.G.forward(tape, Tensor(feats))
     f = triplet.F.forward(tape, g)
-    params = triplet.classifier_params
+    side = triplet.classifier_side
 
     partition = partition_batch(comp_labels, config.K)
     breakdown = total_comp_loss(f, partition)
     total_value = breakdown.total.item()
     l_neg_value = breakdown.l_neg_value
-    _zero_grads(params)
+    side.zero_grad()
     if breakdown.min_class >= 0.0 or not config.correction_enabled:
         tape.backward(breakdown.total)
-        sgd_step(params, config.gamma1, config.momentum, config.weight_decay)
+        sgd_step([side], config.gamma1, config.momentum, config.weight_decay)
         return total_value, l_neg_value, False
     tape.backward(breakdown.l_neg)
-    sgd_step(params, config.gamma1, config.momentum, config.weight_decay, ascend=True)
+    sgd_step([side], config.gamma1, config.momentum, config.weight_decay, ascend=True)
     return total_value, l_neg_value, True
 
 
@@ -177,10 +172,10 @@ def _ce_step(triplet, feats, labels, config):
                                   np.flatnonzero(labels == k)))
              for k in np.unique(labels)]
     loss = sum(terms[1:], terms[0]) / float(len(labels))
-    params = triplet.classifier_params
-    _zero_grads(params)
+    triplet.classifier_side.zero_grad()
     tape.backward(loss)
-    sgd_step(params, config.gamma1, config.momentum, config.weight_decay)
+    sgd_step([triplet.classifier_side], config.gamma1, config.momentum,
+             config.weight_decay)
     return loss.item(), 0.0, False
 
 
@@ -203,14 +198,14 @@ def _adversarial_step(triplet, src_feats, tgt_feats, lam, config):
         w = np.ones(len(g.data))
     d = triplet.D.forward(tape, ad.grad_reverse(feat, lam))
     loss = adversarial_loss(d, w[:n_s], w[n_s:])
-    _zero_grads(triplet.classifier_params)
-    _zero_grads(triplet.discriminator_params)
+    triplet.classifier_side.zero_grad()
+    triplet.discriminator_side.zero_grad()
     tape.backward(loss)
     # D descends directly; the reversal layer has already scaled the classifier
     # gradient by -lam, so a plain descent there realizes the ascent.
-    sgd_step(triplet.discriminator_params, config.gamma2, config.momentum,
+    sgd_step([triplet.discriminator_side], config.gamma2, config.momentum,
              config.weight_decay)
-    sgd_step(triplet.classifier_params, config.gamma2, config.momentum,
+    sgd_step([triplet.classifier_side], config.gamma2, config.momentum,
              config.weight_decay)
     return loss.item()
 

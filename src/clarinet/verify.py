@@ -15,6 +15,7 @@ from .autodiff import Tape, Tensor
 from .complabel import partition_batch, transition_matrix
 from .errors import ContractError
 from .losses import (PROB_FLOOR, adversarial_loss, scatter_map, total_comp_loss)
+from .models import Network, NetworkSpec, flat_side
 
 ENUMERATION_CELL_CAP = 10_000
 FD_STEP = 1e-5
@@ -142,6 +143,25 @@ def _check_graph(build, x0) -> float:
     return relative_error(analytic, finite_difference(value, x0))
 
 
+def _check_network(net, x0, weight) -> float:
+    """Gradient-check one ``Network.forward`` pass: the input and every
+    parameter, perturbed one entry at a time through one flat vector."""
+    side = flat_side(net.parameters)
+    n = x0.size
+    z0 = np.concatenate([x0.ravel(), side.value])
+
+    def value(z):
+        side.value[...] = z[n:]
+        return float((net.forward(None, Tensor(z[:n].reshape(x0.shape))).data * weight).sum())
+
+    numeric = finite_difference(value, z0)
+    side.value[...] = z0[n:]
+    tape = Tape()
+    xt = Tensor(x0, tape=tape)
+    tape.backward(ad.tsum(net.forward(tape, xt) * weight))
+    return relative_error(np.concatenate([xt.grad.ravel(), side.grad]), numeric)
+
+
 def gradcheck_suite(seed: int = 0) -> dict:
     """Sweep every differentiable operation and both composite losses.
 
@@ -200,6 +220,15 @@ def gradcheck_suite(seed: int = 0) -> dict:
     report = {}
     for name, (x0, build) in checks.items():
         report[name] = _check_graph(build, x0)
+
+    # one fused network pass per head, biases away from zero; 25 entries
+    for head, widths, rows in (("softmax", (2, 2, 2), 2), ("sigmoid", (1, 2, 1), 2)):
+        net = Network(NetworkSpec(widths, head=head), rng)
+        for b in net.biases:
+            b.value[...] = rng.normal(size=b.shape)
+        x0 = rng.normal(size=(rows, widths[0]))
+        report["network_" + head] = _check_network(net, x0,
+                                                   rng.normal(size=(rows, widths[-1])))
 
     # the reversal layer is linear: its backward must be exact
     tape = Tape()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import clarinet.autodiff as ad
-from clarinet.autodiff import Parameter, Tape, Tensor, gradients
+from clarinet.autodiff import Parameter, Tape, Tensor
 from clarinet.errors import ContractError, NonFiniteValue, ShapeMismatch
 from clarinet.verify import finite_difference, relative_error
 
@@ -88,13 +88,19 @@ class TestBackward:
         assert relative_error(analytic, numeric) < 1e-4
 
     def test_unvisited_parameter_gets_zero(self):
-        used = Parameter([2.0])
-        unused = Parameter([5.0])
+        # two one-layer networks on one tape; only the first reaches the output
+        used = [Parameter([[2.0]]), Parameter([0.5])]
+        unused = [Parameter([[5.0]]), Parameter([0.5])]
+        for p in used + unused:
+            p.grad[...] = 7.0
+            p.zero_grad()
         tape = Tape()
-        out = ad.tsum(tape.leaf(used) * 3.0)
-        grads = gradients(tape, out, [used, unused])
-        assert np.array_equal(grads[used], [3.0])
-        assert np.array_equal(grads[unused], [0.0])
+        x = Tensor([[1.0]])
+        out = ad.tsum(ad.mlp(tape, x, used[:1], used[1:]) * 3.0)
+        ad.mlp(tape, x, unused[:1], unused[1:])
+        tape.backward(out)
+        assert np.array_equal(used[0].grad, [[3.0]]) and np.array_equal(used[1].grad, [3.0])
+        assert np.array_equal(unused[0].grad, [[0.0]]) and np.array_equal(unused[1].grad, [0.0])
 
     def test_backward_requires_scalar(self):
         tape = Tape()

@@ -432,6 +432,52 @@ def test_eval_names_an_empty_csv(tmp_path, capsys, saved_model):
     assert capsys.readouterr().err == "config error: dataset %r is empty\n" % str(empty)
 
 
+@pytest.mark.parametrize("row, shown", [
+    ("1.0,abc,1", "data row 1, column 2: 'abc' is not a number"),
+    ("1.0,2.0", "data row 2 has 2 values, data row 1 has 3"),
+])
+def test_eval_names_a_bad_csv_row(tmp_path, capsys, saved_model, row, shown):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x0,x1,label\n" + ("0.5,0.5,1\n" if "values" in shown else "") + row + "\n")
+    assert main(["eval", str(saved_model[0]), str(bad)]) == 2
+    assert capsys.readouterr().err == "config error: %s: %s\n" % (bad, shown)
+
+
+class TestJsonFiles:
+    @pytest.mark.parametrize("text", [None, "{", "[1, 2", "\xff"])
+    def test_config_that_is_not_json_exits_2(self, tmp_path, capsys, text):
+        path = "/dev/null" if text is None else tmp_path / "cfg.json"
+        if text is not None:
+            path.write_bytes(text.encode("latin-1"))
+        assert main(["prepare", "--config", str(path), "--out", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err.startswith("config error: %s is not JSON: " % path)
+
+    @pytest.mark.parametrize("manifest", [{"seed": 0}, {"K": 1}, {"K": "4"}, {"K": True},
+                                          {"K": 4.0}, [4]])
+    def test_manifest_without_a_valid_K_exits_2(self, tmp_path, capsys, manifest):
+        prep = tmp_path / "prep"
+        assert main(["prepare", "--config", str(write_config(tmp_path)),
+                     "--out", str(prep)]) == 0
+        (prep / "manifest.json").write_text(json.dumps(manifest))
+        task = {"type": "prepared", "manifest": str(prep / "manifest.json"),
+                "source_csv": str(prep / "source_comp.csv"),
+                "target_csv": str(prep / "target.csv")}
+        cfg = write_config(tmp_path, task=task)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        K = manifest.get("K") if isinstance(manifest, dict) else None
+        assert capsys.readouterr().err == (
+            "config error: task.manifest K must be an integer >= 2, got %r\n" % (K,))
+
+    def test_manifest_that_is_not_json_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("K=4")
+        cfg = write_config(tmp_path, task={"type": "prepared", "manifest": str(manifest),
+                                           "source_csv": "s", "target_csv": "t"})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: %s is not JSON: " % manifest in capsys.readouterr().err
+
+
 @pytest.fixture
 def idx_task(tmp_path):
     """An idx task of 60 source and 40 target 2x2 images over K=3 classes."""

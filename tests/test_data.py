@@ -29,6 +29,9 @@ class TestIdx:
         assert np.abs(loaded.features - digit_dataset.features).max() < 1.0 / 255.0 / 2 + 1e-12
         assert np.array_equal(loaded.labels, digit_dataset.labels)
         assert loaded.features.min() >= 0.0 and loaded.features.max() <= 1.0
+        pixels = np.clip(np.rint(digit_dataset.features * 255.0), 0, 255).astype(np.uint8)
+        assert np.array_equal(loaded.features.view(np.int64),
+                              (pixels.astype(np.float64) / 255.0).view(np.int64))
 
     def test_wrong_magic_cites_value(self, tmp_path, digit_dataset):
         imgs, labs = tmp_path / "imgs", tmp_path / "labs"
@@ -186,6 +189,19 @@ class TestCsv:
         with pytest.raises(FormatError, match=r"data row 2 has non-integer label %s"
                            % bad):
             read_csv(path)
+
+    @pytest.mark.parametrize("rows, shown", [
+        ("0.5,1.0,1\n0.25,abc,2\n", "data row 2, column 2: 'abc' is not a number"),
+        ("0.5,,1\n", "data row 1, column 2: '' is not a number"),
+        ("0.5,1.0,1\n\n0.25,2\n", "data row 2 has 2 values, data row 1 has 3"),
+        ("0.5,1\n0.25,2\n", "data rows have 2 values, the header names 3 columns"),
+    ])
+    def test_row_that_is_not_a_numeric_table_row_rejected(self, tmp_path, rows, shown):
+        path = tmp_path / "data.csv"
+        path.write_text("x0,x1,label\n" + rows)
+        with pytest.raises(FormatError) as info:
+            read_csv(path)
+        assert str(info.value) == "%s: %s" % (path, shown)
 
 
 def test_target_labels_hidden_from_training_view():
