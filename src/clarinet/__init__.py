@@ -12,8 +12,8 @@ from .complabel import (BatchPartition, ComplementaryDataset, TransitionMatrix,
                         recover_posterior, transition_matrix)
 from .data import (LabeledDataset, SyntheticPairConfig, UnlabeledDataset,
                    batches, load_idx, make_synthetic_pair)
-from .losses import (CompLossBreakdown, adversarial_loss, class_comp_loss,
-                     entropy_weight, scatter_map, total_comp_loss)
+from .losses import (CompLossBreakdown, adversarial_loss, entropy_weight,
+                     scatter_map, total_comp_loss)
 from .models import (NetworkSpec, NetworkTriplet, build_triplet,
                      conditional_feature, default_specs, load_checkpoint,
                      predict, pseudo_label, save_checkpoint)

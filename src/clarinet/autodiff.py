@@ -366,9 +366,12 @@ def mlp(tape, x, weights, biases, head="none"):
     per-op chain ``matmul(h, w, b)``, ``relu``, ..., head.  The forward runs
     the same IEEE operations in the same order (relu in place on the fresh
     affine output) and checks each layer's output under that op's name.  The
-    backward replays the per-op rules, each intermediate first gradient's
-    ``+ 0.0`` included, and adds each parameter's gradient into
-    ``Parameter.grad``.  With ``tape=None`` nothing is recorded.
+    backward replays the per-op rules and adds each parameter's gradient into
+    ``Parameter.grad``.  It skips the ``+ 0.0`` of each intermediate first
+    gradient: that only turns -0.0 into +0.0, which no later product or sum
+    turns into a nonzero, and every gradient leaves through ``+=`` onto a
+    zero-filled ``Parameter.grad`` or through the input's ``_accumulate``,
+    both of which map -0.0 to +0.0.  With ``tape=None`` nothing is recorded.
     """
     x, x_tape = _coerce(x)
     if x_tape is not None and x_tape is not tape:
@@ -397,23 +400,19 @@ def mlp(tape, x, weights, biases, head="none"):
     def backward(g):
         if fns is not None:
             g = fns[1](h, g)
-            np.add(g, 0.0, out=g)
         for i in range(last, -1, -1):
             if i < last:
                 g = g * masks[i]
-                np.add(g, 0.0, out=g)
             w, b = weights[i], biases[i]
             w.grad += inputs[i].T @ g
             b.grad += g.sum(axis=0)
             if i == 0 and x.tape is None:
                 break
-            # with one inner term each entry is a single product; after the
-            # first gradient's + 0.0 its bits equal the BLAS call's
+            # with one inner term each entry is a single product, whose bits
+            # equal the BLAS call's up to the sign of a zero
             g = g * w.value.T if w.shape[1] == 1 else g @ w.value.T
             if i == 0:
                 x._accumulate(g, owned=True)
-            else:
-                np.add(g, 0.0, out=g)
 
     out._backward = backward
     return out

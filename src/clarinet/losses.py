@@ -1,6 +1,6 @@
-"""Loss computations: the complementary-label risk estimator with its per-class
-breakdown, the prediction-scattering map, entropy weights, and the weighted
-conditional adversarial loss.
+"""Loss computations: both classifier objectives as one weighted cross-entropy
+with a per-class breakdown, the prediction-scattering map, entropy weights,
+and the weighted conditional adversarial loss.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def cross_entropy_to_class(probs: Tensor, k: int) -> Tensor:
 
 @dataclass
 class CompLossBreakdown:
-    """Per-class complementary losses, their sum, and the negative part.
+    """Per-class losses of a classifier objective, their sum, and the negative part.
 
     ``per_class`` is the K-vector of per-class losses, one tape node;
     ``total`` and ``l_neg`` are ``tsum`` nodes over it, so either branch of
@@ -50,47 +50,50 @@ class CompLossBreakdown:
         return self.l_neg.item()
 
 
-def comp_loss_vector(probs: Tensor, partition: BatchPartition) -> Tensor:
-    """All K per-class complementary losses as one tape node.
+def weighted_ce(probs: Tensor, coef: np.ndarray) -> Tensor:
+    """Per-class weighted cross-entropy as one tape node.
 
-    The unbiased risk of a sample with complementary label ybar is
-    sum_k CE(p, k) - (K-1) CE(p, ybar), with CE(p, k) = -log clip(p_k,
-    PROB_FLOOR, 1).  Entry k is its class-k part averaged over the batch, one
-    weighted column sum: ``(coef * CE).sum(axis=0)`` with
-    ``coef = (1 - (K-1) onehot(ybar)) / n``.  The backward pass gives
+    With CE(p, k) = -log clip(p_k, PROB_FLOOR, 1), entry k is the weighted
+    column sum ``(coef * CE).sum(axis=0)[k]``.  The backward pass gives
     d/dprobs directly, ``g * coef / -clip(P) * inside`` with ``inside`` the
     clip's mask.
     """
     probs, tape = ad._coerce(probs)
-    K = partition.K
     P = probs.data
-    n = len(partition.labels)
-    if P.shape != (n, K):
-        raise ShapeMismatch("comp_loss_vector expects %d x %d probabilities, got %s"
-                            % (n, K, P.shape))
-    onehot = partition.labels[:, None] == np.arange(1, K + 1)
-    coef = (1.0 - (K - 1.0) * onehot) / n
+    if P.shape != coef.shape:
+        raise ShapeMismatch("weighted_ce expects %d x %d probabilities, got %s"
+                            % (coef.shape + (P.shape,)))
     clipped = np.clip(P, PROB_FLOOR, 1.0)
 
     def backward(g):
         inside = (P >= PROB_FLOOR) & (P <= 1.0)
         probs._accumulate(g * coef / -clipped * inside, owned=True)
 
-    return ad._make("comp_loss_vector", (coef * -np.log(clipped)).sum(axis=0), tape, backward)
+    return ad._make("weighted_ce", (coef * -np.log(clipped)).sum(axis=0), tape, backward)
 
 
-def class_comp_loss(probs: Tensor, partition: BatchPartition, k: int) -> Tensor:
-    """Complementary-label loss for one class k in {1..K}: entry k of
-    ``comp_loss_vector`` as a tape scalar."""
+def total_comp_loss(probs: Tensor, partition: BatchPartition,
+                    objective: str = "complementary") -> CompLossBreakdown:
+    """The per-class losses of a classifier objective, their sum, and the
+    negative part.
+
+    ``objective`` picks the ``weighted_ce`` coefficients for the batch labels
+    y: ``(1 - (K-1) onehot(y)) / n`` for ``"complementary"``, the unbiased
+    risk of Ishida et al. (2019), in which a sample with complementary label
+    y costs sum_k CE(p, k) - (K-1) CE(p, y); ``onehot(y) / n`` for ``"ce"``,
+    ordinary cross-entropy on y, whose coefficients are never negative and
+    so neither is any class.
+    """
     K = partition.K
-    if not 1 <= k <= K:
-        raise ContractError("class index %r out of range {1..%d}" % (k, K))
-    return ad.tsum(comp_loss_vector(probs, partition) * (np.arange(K) == k - 1))
-
-
-def total_comp_loss(probs: Tensor, partition: BatchPartition) -> CompLossBreakdown:
-    """Sum of the per-class complementary losses, with the negative-part diagnostic."""
-    per_class = comp_loss_vector(probs, partition)
+    onehot = partition.labels[:, None] == np.arange(1, K + 1)
+    n = len(partition.labels)
+    if objective == "complementary":
+        coef = (1.0 - (K - 1.0) * onehot) / n
+    elif objective == "ce":
+        coef = onehot / n
+    else:
+        raise ContractError("unknown classifier objective %r" % objective)
+    per_class = weighted_ce(probs, coef)
     negative = per_class.data < 0.0
     l_neg = ad.tsum(per_class * negative) if negative.any() else Tensor(0.0)
     return CompLossBreakdown(per_class=per_class, total=ad.tsum(per_class), l_neg=l_neg)

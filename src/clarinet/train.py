@@ -20,15 +20,15 @@ from .autodiff import Tape, Tensor
 from .complabel import ComplementaryDataset, partition_batch
 from .data import LabeledDataset, UnlabeledDataset, batches
 from .errors import ContractError, NonFiniteValue
-from .losses import (adversarial_loss, cross_entropy_to_class, entropy_weight,
-                     scatter_map, total_comp_loss)
+from .losses import adversarial_loss, entropy_weight, scatter_map, total_comp_loss
 from .models import NetworkTriplet, build_triplet, default_specs, pseudo_label
 
 
 @dataclass(frozen=True)
 class Variant:
-    """A trainer variant: its classifier objective, its adversary, and a
-    scatter temperature that overrides ``TrainConfig.l`` when set."""
+    """A trainer variant: its classifier objective (which picks the weighted
+    cross-entropy's coefficients), its adversary, and a scatter temperature
+    that overrides ``TrainConfig.l`` when set."""
 
     objective: str          # "complementary" (the ascent-corrected risk) or "ce"
     adversary: str          # "conditional" (CDAN, entropy-weighted), "plain" or "none"
@@ -68,6 +68,8 @@ class TrainConfig:
         # t_s == t_max keeps the adversary off for the whole run
         if not 0 <= self.t_s <= self.t_max:
             raise ContractError("need 0 <= t_s <= t_max")
+        if self.batch_size < 1:
+            raise ContractError("batch_size must be >= 1, got %r" % self.batch_size)
         if self.l <= 0:
             raise ContractError("scatter temperature l must be positive")
         if self.variant not in VARIANTS:
@@ -142,15 +144,17 @@ def evaluate(model, dataset: LabeledDataset) -> float:
     return float(np.mean(pred == dataset.labels))
 
 
-def _classifier_step(triplet, feats, comp_labels, config):
-    """Lines 5-13 of the per-iteration loop; returns (comp_loss, l_neg, ascended)."""
+def _classifier_step(triplet, feats, labels, config):
+    """Lines 5-13 of the per-iteration loop for the variant's objective: descend
+    its total, or ascend its negative part when a class goes negative (which
+    cross-entropy never does); returns (loss, l_neg, ascended)."""
     tape = Tape()
     g = triplet.G.forward(tape, Tensor(feats))
     f = triplet.F.forward(tape, g)
     side = triplet.classifier_side
 
-    partition = partition_batch(comp_labels, config.K)
-    breakdown = total_comp_loss(f, partition)
+    partition = partition_batch(labels, config.K)
+    breakdown = total_comp_loss(f, partition, VARIANTS[config.variant].objective)
     total_value = breakdown.total.item()
     l_neg_value = breakdown.l_neg_value
     side.zero_grad()
@@ -161,22 +165,6 @@ def _classifier_step(triplet, feats, comp_labels, config):
     tape.backward(breakdown.l_neg)
     sgd_step([side], config.gamma1, config.momentum, config.weight_decay, ascend=True)
     return total_value, l_neg_value, True
-
-
-def _ce_step(triplet, feats, labels, config):
-    """Cross-entropy descent on the given labels, summed per present class in
-    ascending order, then divided by the batch size; returns (loss, 0.0, False)."""
-    tape = Tape()
-    f = triplet.F.forward(tape, triplet.G.forward(tape, Tensor(feats)))
-    terms = [ad.tsum(ad.take_rows(cross_entropy_to_class(f, int(k)),
-                                  np.flatnonzero(labels == k)))
-             for k in np.unique(labels)]
-    loss = sum(terms[1:], terms[0]) / float(len(labels))
-    triplet.classifier_side.zero_grad()
-    tape.backward(loss)
-    sgd_step([triplet.classifier_side], config.gamma1, config.momentum,
-             config.weight_decay)
-    return loss.item(), 0.0, False
 
 
 def _adversarial_step(triplet, src_feats, tgt_feats, lam, config):
@@ -230,10 +218,9 @@ def _hold_heap():
 def _run_loop(triplet, source: ComplementaryDataset, labels, target,
               config: TrainConfig, eval_data, epoch_callback=None):
     """Shared epoch/iteration loop of every variant: ``VARIANTS[config.variant]``
-    picks the classifier step and the adversary, and ``labels`` holds, per
+    picks the classifier objective and the adversary, and ``labels`` holds, per
     source row, the labels its objective reads (complementary or pseudo)."""
     variant = VARIANTS[config.variant]
-    classifier_step = _classifier_step if variant.objective == "complementary" else _ce_step
     if source.K != config.K:
         raise ContractError("source K=%d != config K=%d" % (source.K, config.K))
     _hold_heap()
@@ -262,7 +249,7 @@ def _run_loop(triplet, source: ComplementaryDataset, labels, target,
             idx = src_batches[it]
             feats = source.features[idx]
             try:
-                c, ln, ascended = classifier_step(triplet, feats, labels[idx], config)
+                c, ln, ascended = _classifier_step(triplet, feats, labels[idx], config)
                 comp_sum += c
                 l_neg_sum += ln
                 ascent_steps += int(ascended)

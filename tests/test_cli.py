@@ -187,6 +187,14 @@ class TestTrain:
         assert "config key %s must be %s, got %r" % (key, kind, value) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config_batch, flags", [(0, []), (64, ["--batch", "0"])])
+    def test_zero_batch_exits_2(self, tmp_path, capsys, config_batch, flags):
+        cfg = write_config(tmp_path, batch=config_batch)
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)] + flags) == 2
+        assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_for_a_float_key_is_legal(self, tmp_path):
         cfg = write_config(tmp_path, l=1, weight_decay=0)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0

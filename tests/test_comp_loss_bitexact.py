@@ -1,12 +1,12 @@
 """The complementary risk must equal its plain-NumPy statement bit for bit.
 
 ``reference`` below states in plain NumPy the arithmetic of
-``losses.comp_loss_vector`` and of the ``tsum`` nodes ``total_comp_loss`` and
-``class_comp_loss`` build on it: with ``coef = (1 - (K-1) onehot(ybar)) / n``
-the per-class losses are ``(coef * CE).sum(axis=0)``, and an upstream
-gradient ``g`` of them reaches the probabilities as
-``g * coef / -clip(P) * inside``.  Training records and oracle outputs depend
-on every bit of it, so values and gradients are compared with
+``losses.weighted_ce`` and of the ``tsum`` nodes ``total_comp_loss`` builds
+on it for the complementary objective: with ``coef = (1 - (K-1)
+onehot(ybar)) / n`` the per-class losses are ``(coef * CE).sum(axis=0)``,
+and an upstream gradient ``g`` of them reaches the probabilities as
+``g * coef / -clip(P) * inside``.  Training records and oracle outputs
+depend on every bit of it, so values and gradients are compared with
 ``np.array_equal``, the sign of zero included.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 from clarinet.autodiff import Tape, Tensor
 from clarinet.complabel import partition_batch
-from clarinet.losses import PROB_FLOOR, class_comp_loss, total_comp_loss
+from clarinet.losses import PROB_FLOOR, total_comp_loss
 
 
 def reference(P, labels, K):
@@ -113,12 +113,3 @@ def test_batch_with_some_negative_classes(K):
     assert "grad_l_neg" in fused
     assert_identical(reference(P, labels, K), fused)
 
-
-def test_class_comp_loss_is_the_vector_entry():
-    rng = np.random.default_rng(7)
-    P, labels = random_batch(rng, 128, 4, 1.0)
-    per_class = reference(P, labels, 4)["per_class"]
-    partition = partition_batch(labels, 4)
-    for k in range(1, 5):
-        expected = (per_class * (np.arange(4) == k - 1)).sum()
-        assert class_comp_loss(Tensor(P), partition, k).item() == expected == per_class[k - 1]

@@ -7,8 +7,8 @@ import clarinet.autodiff as ad
 from clarinet.autodiff import Tape, Tensor
 from clarinet.complabel import partition_batch
 from clarinet.errors import ContractError
-from clarinet.losses import (adversarial_loss, class_comp_loss, entropy_weight,
-                             scatter_map, total_comp_loss)
+from clarinet.losses import (adversarial_loss, entropy_weight, scatter_map,
+                             total_comp_loss)
 from clarinet.verify import finite_difference, relative_error
 
 
@@ -28,24 +28,22 @@ class TestClassCompLoss:
         probs, partition = two_sample_batch
         expected = (-2 * 0.5 * -np.log(0.2)
                     + 0.5 * -np.log(0.2) + 0.5 * -np.log(0.1))
-        assert class_comp_loss(probs, partition, 1).item() == pytest.approx(expected, abs=1e-12)
+        per_class = total_comp_loss(probs, partition).per_class_values
+        assert per_class[0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.3466, abs=5e-5)
 
     def test_empty_subset_rule_k2(self, two_sample_batch):
         probs, partition = two_sample_batch
         expected = 0.5 * -np.log(0.5) + 0.5 * -np.log(0.1)
-        assert class_comp_loss(probs, partition, 2).item() == pytest.approx(expected, abs=1e-12)
+        per_class = total_comp_loss(probs, partition).per_class_values
+        assert per_class[1] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.4979, abs=5e-5)
 
     def test_binary_single_sample_cancels(self):
         probs = Tensor(np.array([[0.3, 0.7]]))
         partition = partition_batch([1], 2)
-        assert class_comp_loss(probs, partition, 1).item() == pytest.approx(0.0, abs=1e-12)
-
-    def test_class_out_of_range(self, two_sample_batch):
-        probs, partition = two_sample_batch
-        with pytest.raises(ContractError):
-            class_comp_loss(probs, partition, 4)
+        per_class = total_comp_loss(probs, partition).per_class_values
+        assert per_class[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTotalCompLoss:

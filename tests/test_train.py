@@ -1,15 +1,22 @@
 import argparse
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clarinet
+import clarinet.autodiff as ad
 from clarinet.autodiff import Parameter, Tape, Tensor
 from clarinet.complabel import partition_batch
 from clarinet.data import LabeledDataset, SyntheticPairConfig, make_synthetic_pair
 from clarinet.errors import ContractError, NonFiniteValue
-from clarinet.losses import (adversarial_loss, entropy_weight, scatter_map,
-                             total_comp_loss)
+from clarinet.losses import (PROB_FLOOR, adversarial_loss, cross_entropy_to_class,
+                             entropy_weight, scatter_map, total_comp_loss)
 from clarinet.models import conditional_feature, predict, pseudo_label
 from clarinet.train import (TrainConfig, evaluate, lambda_schedule, sgd_step,
                             train_clarinet, train_gac, train_two_step,
@@ -260,6 +267,79 @@ class TestAlgorithmMechanics:
             TrainConfig(t_s=11, t_max=10)
         with pytest.raises(ContractError):
             TrainConfig(variant="nope")
+        with pytest.raises(ContractError, match="batch_size must be >= 1, got 0"):
+            TrainConfig(batch_size=0)
+
+
+def per_class_ce_chain(probs, labels):
+    """Cross-entropy as the two-step stage and the CE ablation once built it:
+    per present class in ascending order, -log clip(p_k) summed over that
+    class's rows, then the class sums added and divided by the batch size."""
+    terms = [ad.tsum(ad.take_rows(cross_entropy_to_class(probs, int(k)),
+                                  np.flatnonzero(labels == k)))
+             for k in np.unique(labels)]
+    return sum(terms[1:], terms[0]) / float(len(labels))
+
+
+class TestCrossEntropyObjective:
+    @pytest.mark.parametrize("K", [4, 10])
+    def test_weighted_ce_step_matches_the_per_class_chain(self, K):
+        config = small_config(K=K, variant="ablation-ce")
+        rng = np.random.default_rng(K)
+        feats = rng.normal(size=(64, 2))
+        labels = rng.integers(1, K + 1, size=64)
+        labels[labels == 2] = 1                 # class 2 is absent
+        triplet = _fresh_triplet(2, config)
+        triplet.F.weights[-1].value *= 400.0    # saturates the softmax
+
+        def node(probs, labels):
+            return total_comp_loss(probs, partition_batch(labels, K), "ce").total
+
+        runs = {}
+        for name, loss_of in (("chain", per_class_ce_chain), ("node", node)):
+            tape = Tape()
+            g = triplet.G.forward(tape, Tensor(feats))
+            logits = ad.mlp(tape, g, triplet.F.weights, triplet.F.biases)
+            probs = ad.softmax(logits)
+            loss = loss_of(probs, labels)
+            triplet.classifier_side.zero_grad()
+            tape.backward(loss)
+            runs[name] = (loss.item(), logits.grad, triplet.classifier_side.grad.copy())
+        assert (probs.data[np.arange(64), labels - 1] < PROB_FLOOR).any()
+        for a, b in zip(runs["node"], runs["chain"]):
+            assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+        loss, l_neg, ascended = _classifier_step(triplet, feats, labels, config)
+        assert (l_neg, ascended) == (0.0, False)
+        assert np.allclose(loss, runs["chain"][0], rtol=1e-12, atol=0.0)
+        assert np.allclose(triplet.classifier_side.grad, runs["chain"][2],
+                           rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap hold relies on glibc's malloc thresholds")
+def test_heap_hold_keeps_later_trainings_free_of_page_faults():
+    # without the hold, the second training faults its working set back in
+    # (thousands of minor faults); with it, a handful at most
+    script = """
+import resource
+import numpy as np
+from clarinet.data import SyntheticPairConfig, make_synthetic_pair
+from clarinet.train import TrainConfig, train_clarinet
+src, tgt = make_synthetic_pair(SyntheticPairConfig(
+    K=4, n_per_domain=2000, spread=0.45, rotation_deg=30.0, radius=2.0, seed=0))
+source = src.to_complementary(np.random.default_rng([0, 7]))
+config = TrainConfig(K=4, t_max=2, t_s=1, gamma1=0.02, gamma2=0.001, batch_size=128,
+                     hidden=32, d_g=16, lambda_gain=10.0, seed=0)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_clarinet(source, tgt.unlabeled(), config, eval_data=tgt)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(clarinet.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert int(out.stdout) < 500
 
 
 class TestNegativeRiskCorrection:

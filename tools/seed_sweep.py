@@ -1,14 +1,17 @@
-"""Final accuracy of the criterion-7 config over a range of training seeds.
+"""Final accuracy of every trainer variant on the criterion-7 config over a
+range of training seeds.
 
     python3 tools/seed_sweep.py --first 0 --last 49
 
-Trains ``train_clarinet`` with the synth-k4 workload's data, rates and
-architecture (``perfbench/run.py``) once per training seed, with the
-checkout's own ``src/``.  Training seed s draws its complementary labels from
+Trains each variant in ``train.VARIANTS`` through ``train.train_variant``
+with the synth-k4 workload's data, rates and architecture
+(``perfbench/run.py``) once per training seed, with the checkout's own
+``src/``.  Training seed s draws its complementary labels from
 ``default_rng([s, 7])``, as the benchmark and the acceptance criteria do.
-Per seed it prints the final ``target_acc``, the final ``adv_loss`` and the
-record digest (the benchmark's, over every record field but wall time).  Then
-it prints the mean, median and min of the final accuracy, how many seeds end
+Per variant and seed it prints the final ``target_acc``, the final
+``adv_loss`` and the record digest (the benchmark's, over every record field
+but wall time; for two-step, over its second stage).  After each variant it
+prints the mean, median and min of the final accuracy, how many seeds end
 below the benchmark's accuracy floor, and the median of each benchmark seed
 window (benchmark seed w trains seeds 5w .. 5w+4) that lies wholly in the
 range.
@@ -48,27 +51,31 @@ def main(argv=None):
     bench = load_benchmark()
     src, tgt = data.make_synthetic_pair(data.SyntheticPairConfig(**bench.SYNTH_DATA))
     seeds = range(args.first, args.last + 1)
-    accs = {}
-    print("seed  target_acc  adv_loss               digest")
-    for s in seeds:
-        config = train.TrainConfig(seed=s, **bench.SYNTH_TRAIN)
-        source = src.to_complementary(np.random.default_rng([s, 7]))
-        records = train.train_clarinet(source, tgt.unlabeled(), config,
-                                       eval_data=tgt).records
-        accs[s] = records[-1].target_acc
-        print("%4d  %.4f      %-21.17g  %s" % (s, accs[s], records[-1].adv_loss,
-                                             bench.records_digest(records)), flush=True)
-
-    values = np.array(list(accs.values()))
-    print("mean %.4f  median %.4f  min %.4f  below %.2f: %d of %d"
-          % (values.mean(), np.median(values), values.min(), bench.SYNTH_ACC_FLOOR,
-             int((values < bench.SYNTH_ACC_FLOOR).sum()), len(values)))
     window = bench.SYNTH_SEED_WINDOW
-    for w in range(args.first // window, args.last // window + 1):
-        members = range(window * w, window * (w + 1))
-        if all(s in accs for s in members):
-            print("window %d (seeds %d-%d): median %.4f"
-                  % (w, members[0], members[-1], np.median([accs[s] for s in members])))
+    for variant in train.VARIANTS:
+        accs = {}
+        print("%s\nseed  target_acc  adv_loss               digest" % variant)
+        for s in seeds:
+            config = train.TrainConfig(seed=s, **bench.SYNTH_TRAIN)
+            source = src.to_complementary(np.random.default_rng([s, 7]))
+            records = train.train_variant(variant, source, tgt.unlabeled(), config,
+                                          eval_data=tgt).records
+            accs[s] = records[-1].target_acc
+            print("%4d  %.4f      %-21.17g  %s" % (s, accs[s], records[-1].adv_loss,
+                                                 bench.records_digest(records)), flush=True)
+
+        values = np.array(list(accs.values()))
+        print("%s: mean %.4f  median %.4f  min %.4f  below %.2f: %d of %d"
+              % (variant, values.mean(), np.median(values), values.min(),
+                 bench.SYNTH_ACC_FLOOR, int((values < bench.SYNTH_ACC_FLOOR).sum()),
+                 len(values)))
+        for w in range(args.first // window, args.last // window + 1):
+            members = range(window * w, window * (w + 1))
+            if all(s in accs for s in members):
+                print("%s: window %d (seeds %d-%d): median %.4f"
+                      % (variant, w, members[0], members[-1],
+                         np.median([accs[s] for s in members])))
+        print(flush=True)
     return 0
 
 
