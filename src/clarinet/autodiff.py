@@ -29,6 +29,8 @@ Gradient contract:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ContractError, NonFiniteValue, ShapeMismatch
@@ -157,6 +159,32 @@ class Tape:
         for t in reversed(nodes):
             if t.grad is not None and t._backward is not None:
                 t._backward(t.grad)
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+@functools.cache
+def hold_heap():
+    """Keep freed memory in the process from one training step, or one
+    ``verify`` suite, to the next.
+
+    While glibc's trim threshold is at its 128 KB default, the top of the
+    heap can go back to the kernel whenever the arrays on it are freed, and
+    be faulted in again by the next step: about 300 minor page faults per
+    synth-k4 step (it allocates and frees about 1 MB), 0.2-0.4 s of system
+    time a run.  glibc raises its mmap threshold to the size of a freed
+    mmapped block, and its trim threshold to twice that, so freeing one
+    16 MB block keeps up to 32 MB of free heap from then on.  The largest
+    working set is the Monte-Carlo oracle's 100k x 4 batch: ``weighted_ce``
+    holds four such float64 arrays at once, about 13 MB.  Per warm
+    ``verify all`` call, no hold left about 4300 minor faults, a 4 MB block
+    (8 MB kept) about 2300, an 8 MB block about 2700, and a 12 or 16 MB block
+    3-4.  glibc's adaptive thresholds otherwise work as before (``mallopt``
+    would switch them off), and no value changes.
+    """
+    np.empty(16 << 20, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,32 @@ def _load_config(path):
     return {} if path is None else _read_json(path)
 
 
+def _check_seed(seed, source):
+    """A seed NumPy's generators take: a non-negative integer."""
+    if seed < 0:
+        raise ContractError("%s must be a non-negative integer, got %r" % (source, seed))
+    return seed
+
+
 def _env_seed():
     """The CLARINET_SEED environment variable as an int, 0 when unset."""
     raw = os.environ.get("CLARINET_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ContractError("CLARINET_SEED must be an integer, got %r" % raw) from None
+    return _check_seed(seed, "CLARINET_SEED")
+
+
+def _flag_seeds(args):
+    """The --seed values, each checked."""
+    return [_check_seed(seed, "--seed") for seed in args.seed]
+
+
+def _one_seed(args):
+    """The first --seed value, else CLARINET_SEED."""
+    seeds = _flag_seeds(args)
+    return seeds[0] if seeds else _env_seed()
 
 
 # file fields of the task types that read files
@@ -102,6 +121,9 @@ def _check_value(key, value):
         kind = "a non-empty list of integers"
     if not ok:
         raise ContractError("config key %s must be %s, got %r" % (key, kind, value))
+    if key == "seeds":
+        for seed in value:
+            _check_seed(seed, "a seed in config key seeds")
 
 
 def _resolve(config_file, args, keys):
@@ -224,7 +246,7 @@ def cmd_prepare(args):
     if not isinstance(config, dict):
         raise ContractError("config file must hold a JSON object")
     task = _require_task(config.get("task"))
-    seed = args.seed[0] if args.seed else _env_seed()
+    seed = _one_seed(args)
     out = Path(args.out or config.get("out", "prepared"))
 
     source, tgt = _labelled_pair(task, seed)
@@ -251,7 +273,7 @@ def cmd_train(args):
     resolved = _resolve(config, args,
                         ["variant", "out", "l", "ts", "epochs", "batch"])
     if args.seed:
-        resolved["seeds"] = args.seed
+        resolved["seeds"] = _flag_seeds(args)
     task = _require_task(resolved.get("task"))
     out = Path(resolved["out"])
 
@@ -297,8 +319,7 @@ def cmd_train(args):
 
 
 def cmd_verify(args):
-    seed = args.seed[0] if args.seed else _env_seed()
-    report = run_suite(args.suite, seed=seed)
+    report = run_suite(args.suite, seed=_one_seed(args))
     text = report_json(report)
     print(text)
     if args.out:

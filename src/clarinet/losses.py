@@ -87,10 +87,12 @@ def total_comp_loss(probs: Tensor, partition: BatchPartition,
     K = partition.K
     onehot = partition.labels[:, None] == np.arange(1, K + 1)
     n = len(partition.labels)
+    # one pass; each entry is the formula's scalar for its onehot bit, so the
+    # bits equal those of the array expression
     if objective == "complementary":
-        coef = (1.0 - (K - 1.0) * onehot) / n
+        coef = np.where(onehot, (1.0 - (K - 1.0)) / n, 1.0 / n)
     elif objective == "ce":
-        coef = onehot / n
+        coef = np.where(onehot, 1.0 / n, 0.0 / n)
     else:
         raise ContractError("unknown classifier objective %r" % objective)
     per_class = weighted_ce(probs, coef)

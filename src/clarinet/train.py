@@ -7,7 +7,6 @@ metrics bookkeeping.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import time
 import warnings
@@ -65,6 +64,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise ContractError("learning rates must be positive")
+        if self.t_max < 1:
+            raise ContractError("t_max must be >= 1, got %r" % self.t_max)
         # t_s == t_max keeps the adversary off for the whole run
         if not 0 <= self.t_s <= self.t_max:
             raise ContractError("need 0 <= t_s <= t_max")
@@ -74,6 +75,8 @@ class TrainConfig:
             raise ContractError("scatter temperature l must be positive")
         if self.variant not in VARIANTS:
             raise ContractError("unknown variant %r" % self.variant)
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0, got %r" % self.seed)
 
 
 @dataclass
@@ -198,23 +201,6 @@ def _adversarial_step(triplet, src_feats, tgt_feats, lam, config):
     return loss.item()
 
 
-@functools.cache
-def _hold_heap():
-    """Keep freed memory in the process from one training step to the next.
-
-    A synth-k4 step allocates and frees about 1 MB of arrays.  While glibc's
-    trim threshold is at its 128 KB default, the top of the heap can go back
-    to the kernel at the end of each step and be faulted in again by the
-    next one: about 300 minor page faults a step, or 0.2-0.4 s of system
-    time a run, depending on what the process allocated before.  glibc
-    raises its mmap threshold to the size of a freed mmapped block, and its
-    trim threshold to twice that, so freeing one 4 MB block keeps up to 8 MB
-    of free heap from then on.  Its adaptive thresholds otherwise work as
-    before (``mallopt`` would switch them off), and no value changes.
-    """
-    np.empty(4 << 20, dtype=np.uint8)
-
-
 def _run_loop(triplet, source: ComplementaryDataset, labels, target,
               config: TrainConfig, eval_data, epoch_callback=None):
     """Shared epoch/iteration loop of every variant: ``VARIANTS[config.variant]``
@@ -223,7 +209,7 @@ def _run_loop(triplet, source: ComplementaryDataset, labels, target,
     variant = VARIANTS[config.variant]
     if source.K != config.K:
         raise ContractError("source K=%d != config K=%d" % (source.K, config.K))
-    _hold_heap()
+    ad.hold_heap()
     rng_src = np.random.default_rng([config.seed, 1])
     rng_tgt = np.random.default_rng([config.seed, 2])
     n_src = len(source)

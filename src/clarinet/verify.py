@@ -99,8 +99,9 @@ def monte_carlo_unbiasedness(domain: DiscreteDomain, predictor: np.ndarray,
 
     ce = _ce_table(predictor)
     true_risk, _, _ = exact_unbiasedness(domain, predictor)
-    # the one-batch total is the mean of psi_i = sum_k ell_i(k) - (K-1) ell_i(ybar_i)
-    psi = ce[xs].sum(axis=1) - (K - 1.0) * ce[xs, ybar - 1]
+    # the one-batch total is the mean of psi_i = sum_k ell_i(k) - (K-1) ell_i(ybar_i);
+    # the row sums are taken once per point and gathered
+    psi = ce.sum(axis=1)[xs] - (K - 1.0) * ce[xs, ybar - 1]
     se = float(psi.std(ddof=1) / np.sqrt(n_samples))
     z = (empirical - true_risk) / se if se > 0 else 0.0
     return empirical, true_risk, float(z)
@@ -241,6 +242,7 @@ def gradcheck_suite(seed: int = 0) -> dict:
 
 def run_suite(name: str, seed: int = 0) -> dict:
     """Run a named verification suite; returns a JSON-ready report."""
+    ad.hold_heap()
     checks = []
     rng = np.random.default_rng(seed)
 

@@ -75,6 +75,38 @@ class TestPrepare:
         assert "CLARINET_SEED must be an integer, got 'seven'" in capsys.readouterr().err
 
 
+class TestNegativeSeed:
+    # NumPy's generators take no negative seed; every route names the value
+    @pytest.mark.parametrize("verb, flags, env, message", [
+        ("verify", ["--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
+        ("verify", [], "-3", "CLARINET_SEED must be a non-negative integer, got -3"),
+        ("prepare", ["--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
+        ("prepare", [], "-3", "CLARINET_SEED must be a non-negative integer, got -3"),
+        ("train", ["--seed", "0", "--seed", "-1"], None,
+         "--seed must be a non-negative integer, got -1"),
+    ])
+    def test_flag_or_env_exits_2(self, tmp_path, capsys, monkeypatch, verb, flags, env,
+                                 message):
+        if env is not None:
+            monkeypatch.setenv("CLARINET_SEED", env)
+        out = tmp_path / "out"
+        argv = [verb] + flags + ["--out", str(out)]
+        argv += ["tmap"] if verb == "verify" else ["--config", str(write_config(tmp_path))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: " + message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_seeds_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seeds=[0, -1])
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("a seed in config key seeds must be a non-negative integer, got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 class TestTrain:
     def test_per_seed_artifacts_and_aggregate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seeds=[0, 1, 2])
@@ -193,6 +225,15 @@ class TestTrain:
         out = tmp_path / "r"
         assert main(["train", "--config", str(cfg), "--out", str(out)] + flags) == 2
         assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config_epochs, flags",
+                             [(0, []), (3, ["--epochs", "0", "--ts", "0"])])
+    def test_zero_epochs_exits_2_before_writing(self, tmp_path, capsys, config_epochs, flags):
+        cfg = write_config(tmp_path, epochs=config_epochs, ts=0)
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)] + flags) == 2
+        assert "t_max must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_int_for_a_float_key_is_legal(self, tmp_path):

@@ -18,11 +18,13 @@ from clarinet.complabel import partition_batch
 from clarinet.losses import PROB_FLOOR, total_comp_loss
 
 
-def reference(P, labels, K):
+def reference(P, labels, K, objective="complementary"):
     """Per-class losses, ``total``, ``l_neg`` and, per backward target, the
-    gradient reaching ``P``; ``grad_l_neg`` only when a class is negative."""
+    gradient reaching ``P``; ``grad_l_neg`` only when a class is negative.
+    The ``"ce"`` objective's coefficients are ``onehot(y) / n``."""
     n = len(labels)
-    coef = (1.0 - (K - 1.0) * (labels[:, None] == np.arange(1, K + 1))) / n
+    onehot = labels[:, None] == np.arange(1, K + 1)
+    coef = (1.0 - (K - 1.0) * onehot) / n if objective == "complementary" else onehot / n
     clipped = np.clip(P, PROB_FLOOR, 1.0)
     inside = (P >= PROB_FLOOR) & (P <= 1.0)
     per_class = (coef * -np.log(clipped)).sum(axis=0)
@@ -39,14 +41,14 @@ def reference(P, labels, K):
     return out
 
 
-def run_fused(P, labels, K):
+def run_fused(P, labels, K, objective="complementary"):
     """The same quantities from ``total_comp_loss`` on a tape."""
     partition = partition_batch(labels, K)
     out = {}
     for target in ("total", "l_neg"):
         tape = Tape()
         probs = Tensor(P, tape=tape)
-        b = total_comp_loss(probs, partition)
+        b = total_comp_loss(probs, partition, objective)
         out.update(per_class=b.per_class_values, total=b.total.item(),
                    l_neg=b.l_neg.item())
         node = b.total if target == "total" else b.l_neg
@@ -86,6 +88,15 @@ def test_random_batches_match_bit_for_bit(K, n, scale):
         if scale > 1.0:
             assert (P < PROB_FLOOR).any()
         assert_identical(reference(P, labels, K), run_fused(P, labels, K))
+
+
+@pytest.mark.parametrize("objective", ["complementary", "ce"])
+@pytest.mark.parametrize("n", [128, 100_000])
+def test_monte_carlo_sized_batch(n, objective):
+    # 100k rows at K=4 is the Monte-Carlo oracle's one batch
+    rng = np.random.default_rng(n)
+    P, labels = random_batch(rng, n, 4, 40.0)
+    assert_identical(reference(P, labels, 4, objective), run_fused(P, labels, 4, objective))
 
 
 @pytest.mark.parametrize("K", [4, 10])

@@ -269,6 +269,10 @@ class TestAlgorithmMechanics:
             TrainConfig(variant="nope")
         with pytest.raises(ContractError, match="batch_size must be >= 1, got 0"):
             TrainConfig(batch_size=0)
+        with pytest.raises(ContractError, match="t_max must be >= 1, got 0"):
+            TrainConfig(t_max=0, t_s=0)
+        with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
 
 def per_class_ce_chain(probs, labels):
@@ -316,13 +320,31 @@ class TestCrossEntropyObjective:
                            rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the heap hold relies on glibc's malloc thresholds")
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="the heap hold relies on glibc's malloc thresholds")
+
+
+def second_call_minor_faults(setup, call):
+    """Minor page faults of the second of two ``call``s, in a child process
+    that runs ``setup`` first."""
+    script = setup + """
+import resource
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    %s
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""" % call
+    env = dict(os.environ, PYTHONPATH=str(Path(clarinet.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return int(out.stdout)
+
+
+@glibc_only
 def test_heap_hold_keeps_later_trainings_free_of_page_faults():
     # without the hold, the second training faults its working set back in
     # (thousands of minor faults); with it, a handful at most
-    script = """
-import resource
+    setup = """
 import numpy as np
 from clarinet.data import SyntheticPairConfig, make_synthetic_pair
 from clarinet.train import TrainConfig, train_clarinet
@@ -331,15 +353,17 @@ src, tgt = make_synthetic_pair(SyntheticPairConfig(
 source = src.to_complementary(np.random.default_rng([0, 7]))
 config = TrainConfig(K=4, t_max=2, t_s=1, gamma1=0.02, gamma2=0.001, batch_size=128,
                      hidden=32, d_g=16, lambda_gain=10.0, seed=0)
-for _ in range(2):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    train_clarinet(source, tgt.unlabeled(), config, eval_data=tgt)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-    env = dict(os.environ, PYTHONPATH=str(Path(clarinet.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert int(out.stdout) < 500
+    call = "train_clarinet(source, tgt.unlabeled(), config, eval_data=tgt)"
+    assert second_call_minor_faults(setup, call) < 500
+
+
+@glibc_only
+def test_heap_hold_keeps_later_verify_suites_free_of_page_faults():
+    # the Monte-Carlo oracle holds about 13 MB of 100k x 4 arrays at once: a
+    # hold that keeps less faults thousands of pages back in on every suite
+    setup = "from clarinet.verify import run_suite\n"
+    assert second_call_minor_faults(setup, 'run_suite("all", 0)') < 500
 
 
 class TestNegativeRiskCorrection:

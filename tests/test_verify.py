@@ -162,6 +162,13 @@ class TestRunSuite:
                 "tmap_simplex"} <= names
         assert report["passed"] is True
 
+    def test_monte_carlo_z_is_pinned(self):
+        # the oracle's arithmetic is bit-exact: a change that moves any bit of
+        # the one-batch risk or of the standard error moves this value
+        report = run_suite("unbiasedness", seed=0)
+        metric = {c["check"]: c["metric"] for c in report["checks"]}["monte_carlo_z"]
+        assert metric == 0.3701927399516963
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ContractError):
             run_suite("nope")
