@@ -86,12 +86,15 @@ def monte_carlo_unbiasedness(domain: DiscreteDomain, predictor: np.ndarray,
     predictor = np.asarray(predictor, dtype=np.float64)
     K = domain.K
     xs = rng.choice(domain.m, size=n_samples, p=domain.weights)
-    # true label per draw, then a uniform complementary label
+    # 0-based true label per draw, then a uniform complementary label
+    # (y0 + offset) % K + 1, formed in place
     u = rng.random(n_samples)
     cum = np.cumsum(domain.posteriors, axis=1)
-    ys = (u[:, None] < cum[xs]).argmax(axis=1) + 1
-    offs = rng.integers(1, K, size=n_samples)
-    ybar = (ys - 1 + offs) % K + 1
+    y0 = (u[:, None] < cum[xs]).argmax(axis=1)
+    ybar = rng.integers(1, K, size=n_samples)
+    ybar += y0
+    ybar %= K
+    ybar += 1
 
     partition = partition_batch(ybar, K)
     breakdown = total_comp_loss(Tensor(predictor[xs]), partition)
