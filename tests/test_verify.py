@@ -163,8 +163,8 @@ class TestRunSuite:
         assert report["passed"] is True
 
     def test_monte_carlo_z_is_pinned(self):
-        # the oracle's arithmetic is bit-exact: a change that moves any bit of
-        # the one-batch risk or of the standard error moves this value
+        # the value at seed 0 since the oracle's arithmetic last changed; its
+        # one-batch risk and standard error are meant to stay bit for bit
         report = run_suite("unbiasedness", seed=0)
         metric = {c["check"]: c["metric"] for c in report["checks"]}["monte_carlo_z"]
         assert metric == 0.3701927399516963
