@@ -11,6 +11,7 @@ or a diverged (non-finite) run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -27,12 +28,16 @@ from .models import load_checkpoint, save_checkpoint
 from .train import VARIANTS, TrainConfig, evaluate, train_variant, write_metrics_csv
 from .verify import report_json, run_suite
 
-TRAIN_DEFAULTS = {
-    "variant": "clarinet", "gamma1": 5e-5, "gamma2": 0.005, "epochs": 100,
-    "ts": 5, "batch": 128, "l": 0.5, "momentum": 0.9, "weight_decay": 5e-5,
-    "lambda_gain": 10.0, "hidden": 128, "d_g": 64, "correction_enabled": True,
-    "seeds": [0], "out": "runs",
-}
+# the config name of a TrainConfig field, where the two differ
+_CONFIG_NAMES = {"t_max": "epochs", "t_s": "ts", "batch_size": "batch"}
+
+# config key -> TrainConfig field, for every field but K, which the task's
+# data set, and seed, which takes each entry of seeds in turn
+_TRAIN_FIELDS = {_CONFIG_NAMES.get(f.name, f.name): f
+                 for f in dataclasses.fields(TrainConfig) if f.name not in ("K", "seed")}
+
+TRAIN_DEFAULTS = {**{key: f.default for key, f in _TRAIN_FIELDS.items()},
+                  "seeds": [0], "out": "runs"}
 
 
 def _read_json(path):
@@ -43,10 +48,6 @@ def _read_json(path):
             raise ContractError("%s is not JSON: %s" % (path, exc)) from None
 
 
-def _load_config(path):
-    return {} if path is None else _read_json(path)
-
-
 def _check_seed(seed, source):
     """A seed NumPy's generators take: a non-negative integer."""
     if seed < 0:
@@ -54,25 +55,19 @@ def _check_seed(seed, source):
     return seed
 
 
-def _env_seed():
-    """The CLARINET_SEED environment variable as an int, 0 when unset."""
+def _one_seed(args):
+    """The seed of ``prepare`` and ``verify``: --seed, given at most once,
+    else the CLARINET_SEED environment variable, else 0."""
+    if len(args.seed) > 1:
+        raise ContractError("%s takes one --seed, got %d" % (args.verb, len(args.seed)))
+    if args.seed:
+        return _check_seed(args.seed[0], "--seed")
     raw = os.environ.get("CLARINET_SEED", "0")
     try:
         seed = int(raw)
     except ValueError:
         raise ContractError("CLARINET_SEED must be an integer, got %r" % raw) from None
     return _check_seed(seed, "CLARINET_SEED")
-
-
-def _flag_seeds(args):
-    """The --seed values, each checked."""
-    return [_check_seed(seed, "--seed") for seed in args.seed]
-
-
-def _one_seed(args):
-    """The first --seed value, else CLARINET_SEED."""
-    seeds = _flag_seeds(args)
-    return seeds[0] if seeds else _env_seed()
 
 
 # file fields of the task types that read files
@@ -83,16 +78,15 @@ _FILE_FIELDS = {
 
 
 def _require_task(task):
-    """The config's task object; the file fields of an ``idx`` or ``prepared``
-    task must each be a non-empty string (an integer would be opened as a
-    file descriptor)."""
+    """The config's task must be an object, and the file fields of an ``idx``
+    or ``prepared`` task must each be a non-empty string (an integer would be
+    opened as a file descriptor)."""
     if not isinstance(task, dict):
         raise ContractError("config needs a 'task' object, got %r" % (task,))
     for name in _FILE_FIELDS.get(task.get("type"), ()):
         value = task.get(name)
         if not (isinstance(value, str) and value):
             raise ContractError("task.%s must be a non-empty string, got %r" % (name, value))
-    return task
 
 
 def _is_int(value):
@@ -104,10 +98,11 @@ def _is_number(value):
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-def _check_value(key, value):
-    """A resolved value must have its default's type; an int may stand for a
-    float.  Seeds are a non-empty list of ints."""
-    default = TRAIN_DEFAULTS[key]
+def _check_type(name, value, default):
+    """``value`` if it has the type of ``default``, a pair as a tuple: true
+    or false for a bool, an integer for an int, a finite number (an int may
+    stand for it) for a float, a string for a str, a list of two finite
+    numbers for a tuple and a non-empty list of integers for a list."""
     if isinstance(default, bool):
         ok, kind = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
@@ -116,80 +111,59 @@ def _check_value(key, value):
         ok, kind = _is_number(value), "a finite number"
     elif isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
+    elif isinstance(default, tuple):
+        ok = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+        kind = "a list of two finite numbers"
     else:
         ok = isinstance(value, list) and bool(value) and all(map(_is_int, value))
         kind = "a non-empty list of integers"
     if not ok:
-        raise ContractError("config key %s must be %s, got %r" % (key, kind, value))
-    if key == "seeds":
-        for seed in value:
-            _check_seed(seed, "a seed in config key seeds")
+        raise ContractError("%s must be %s, got %r" % (name, kind, value))
+    return tuple(value) if isinstance(default, tuple) else value
 
 
-def _resolve(config_file, args, keys):
-    """flags > config file > defaults; a config key outside TRAIN_DEFAULTS and
-    ``task`` is an error rather than silently ignored, and so is a value of
-    the wrong type."""
-    known = set(TRAIN_DEFAULTS) | {"task"}
-    if not isinstance(config_file, dict):
+def _resolve(args, out):
+    """The config of ``prepare`` and ``train``: flags > --config file >
+    defaults, with ``out`` the default output directory.  A key outside
+    TRAIN_DEFAULTS and ``task`` is an error rather than silently ignored,
+    and so is a value of the wrong type, from the file or from a flag."""
+    config = {} if args.config is None else _read_json(args.config)
+    if not isinstance(config, dict):
         raise ContractError("config file must hold a JSON object")
-    unknown = sorted(set(config_file) - known)
+    known = set(TRAIN_DEFAULTS) | {"task"}
+    unknown = sorted(set(config) - known)
     if unknown:
         raise ContractError("unknown config keys %s; known keys are %s"
                             % (", ".join(unknown), ", ".join(sorted(known))))
-    resolved = dict(TRAIN_DEFAULTS)
-    resolved.update(config_file)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None and val != []:
-            resolved[key] = val
-    for key in TRAIN_DEFAULTS:
-        _check_value(key, resolved[key])
+    flags = {key: getattr(args, key) for key in TRAIN_DEFAULTS
+             if getattr(args, key, None) is not None}
+    resolved = dict(TRAIN_DEFAULTS, out=out)
+    for key, value in [*config.items(), *flags.items()]:
+        if key != "task":
+            value = _check_type("config key " + key, value, TRAIN_DEFAULTS[key])
+        resolved[key] = value
+    for seed in resolved["seeds"]:
+        _check_seed(seed, "a seed in config key seeds")
+    _require_task(resolved.get("task"))
     return resolved
 
 
 def _train_config(resolved, seed) -> TrainConfig:
-    return TrainConfig(
-        gamma1=resolved["gamma1"], gamma2=resolved["gamma2"],
-        t_max=resolved["epochs"], t_s=resolved["ts"],
-        batch_size=resolved["batch"], K=resolved["K"], l=resolved["l"],
-        momentum=resolved["momentum"], weight_decay=resolved["weight_decay"],
-        lambda_gain=resolved["lambda_gain"], seed=seed,
-        variant=resolved["variant"], hidden=resolved["hidden"],
-        d_g=resolved["d_g"], correction_enabled=resolved["correction_enabled"])
+    return TrainConfig(K=resolved["K"], seed=seed,
+                       **{f.name: resolved[key] for key, f in _TRAIN_FIELDS.items()})
 
 
 # ---------------------------------------------------------------------------
 # task loading
 
 
-def _is_pair(value):
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
-
-
-# synthetic task field: (check, what the check wants)
-_SYNTHETIC_FIELDS = {
-    "K": (_is_int, "an integer"),
-    "n_per_domain": (_is_int, "an integer"),
-    "seed": (_is_int, "an integer"),
-    "spread": (_is_number, "a finite number"),
-    "rotation_deg": (_is_number, "a finite number"),
-    "radius": (_is_number, "a finite number"),
-    "translation": (_is_pair, "a list of two finite numbers"),
-}
-
-
 def _synthetic_config(task) -> SyntheticPairConfig:
     """The synthetic task's generator config, for both ``prepare`` and
-    ``train``; a field that is given must pass its check, and an absent one
-    takes the ``SyntheticPairConfig`` default."""
-    fields = {}
-    for name, (check, kind) in _SYNTHETIC_FIELDS.items():
-        if name in task:
-            if not check(task[name]):
-                raise ContractError("task.%s must be %s, got %r" % (name, kind, task[name]))
-            fields[name] = tuple(task[name]) if name == "translation" else task[name]
-    return SyntheticPairConfig(**fields)
+    ``train``; a field that is given must have its default's type, and an
+    absent one takes the ``SyntheticPairConfig`` default."""
+    return SyntheticPairConfig(**{
+        f.name: _check_type("task." + f.name, task[f.name], f.default)
+        for f in dataclasses.fields(SyntheticPairConfig) if f.name in task})
 
 
 def _labelled_pair(task, seed):
@@ -242,12 +216,10 @@ def _load_task(task, seed):
 
 
 def cmd_prepare(args):
-    config = _load_config(args.config)
-    if not isinstance(config, dict):
-        raise ContractError("config file must hold a JSON object")
-    task = _require_task(config.get("task"))
+    resolved = _resolve(args, "prepared")
+    task = resolved["task"]
     seed = _one_seed(args)
-    out = Path(args.out or config.get("out", "prepared"))
+    out = Path(resolved["out"])
 
     source, tgt = _labelled_pair(task, seed)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,12 +241,10 @@ def cmd_prepare(args):
 
 
 def cmd_train(args):
-    config = _load_config(args.config)
-    resolved = _resolve(config, args,
-                        ["variant", "out", "l", "ts", "epochs", "batch"])
+    resolved = _resolve(args, "runs")
     if args.seed:
-        resolved["seeds"] = _flag_seeds(args)
-    task = _require_task(resolved.get("task"))
+        resolved["seeds"] = [_check_seed(seed, "--seed") for seed in args.seed]
+    task = resolved["task"]
     out = Path(resolved["out"])
 
     accuracies = []
@@ -350,18 +320,19 @@ def build_parser():
                                             "domain adaptation")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--seed", type=int, action="append", default=[],
-                        help="repeatable; overrides config seeds")
+    def common(sp, seed_help):
+        sp.add_argument("--seed", type=int, action="append", default=[], help=seed_help)
         sp.add_argument("--out", help="output directory")
 
     sp = sub.add_parser("prepare", help="generate a complementary-label dataset")
-    common(sp)
+    sp.add_argument("--config", help="JSON config file")
+    common(sp, "seed of the complementary labels and the subsample; given once, "
+               "default CLARINET_SEED, else 0")
     sp.set_defaults(fn=cmd_prepare)
 
     sp = sub.add_parser("train", help="run an experiment per seed")
-    common(sp)
+    sp.add_argument("--config", help="JSON config file")
+    common(sp, "repeatable, one run per seed; overrides config seeds")
     sp.add_argument("--variant", choices=tuple(VARIANTS))
     sp.add_argument("--l", type=float, help="scatter temperature")
     sp.add_argument("--ts", type=int, help="adversarial start epoch")
@@ -370,7 +341,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp)
+    common(sp, "seed of the oracles' draws; given once, default CLARINET_SEED, else 0")
     sp.add_argument("suite", choices=("unbiasedness", "gradcheck", "tmap", "all"))
     sp.set_defaults(fn=cmd_verify)
 
@@ -386,7 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ContractError, FormatError, FileNotFoundError, KeyError) as exc:
+    except (ContractError, FormatError, OSError, KeyError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except NonFiniteValue as exc:

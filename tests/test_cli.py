@@ -98,6 +98,18 @@ class TestNegativeSeed:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["prepare", "verify"])
+    def test_second_seed_exits_2(self, tmp_path, capsys, verb):
+        # one seed per run: a second --seed would otherwise be dropped unread
+        out = tmp_path / "out"
+        argv = [verb, "--seed", "0", "--seed", "5", "--out", str(out)]
+        argv += ["gradcheck"] if verb == "verify" else ["--config", str(write_config(tmp_path))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: %s takes one --seed, got 2\n" % verb
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_config_seeds_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seeds=[0, -1])
         out = tmp_path / "r"
@@ -196,11 +208,12 @@ class TestTrain:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         # a misspelt "epochs" must not fall back to the 100-epoch default
         cfg = write_config(tmp_path, epoch=5)
-        out = tmp_path / "r"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "unknown config keys epoch;" in err
-        assert not out.exists()
+        for verb in ("prepare", "train"):
+            out = tmp_path / verb
+            assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "unknown config keys epoch;" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("key, value, kind", [
         ("gamma1", "fast", "a finite number"),
@@ -210,14 +223,17 @@ class TestTrain:
         ("correction_enabled", "no", "true or false"),
         ("seeds", [0, "1"], "a non-empty list of integers"),
         ("seeds", [], "a non-empty list of integers"),
+        ("out", 3, "a string"),
     ])
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, key, value, kind):
+        # the config file is checked even where a flag overrides its value
         cfg = write_config(tmp_path, **{key: value})
-        out = tmp_path / "r"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config key %s must be %s, got %r" % (key, kind, value) in err
-        assert not out.exists()
+        for verb in ("prepare", "train"):
+            out = tmp_path / verb
+            assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "config key %s must be %s, got %r" % (key, kind, value) in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("config_batch, flags", [(0, []), (64, ["--batch", "0"])])
     def test_zero_batch_exits_2(self, tmp_path, capsys, config_batch, flags):
@@ -340,7 +356,37 @@ class TestTaskFiles:
         assert not out.exists()
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("verb", ["prepare", "train", "verify"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, verb):
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = [verb, "--out", str(out)]
+        argv += ["tmap"] if verb == "verify" else ["--config", str(write_config(tmp_path))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
+        assert "Traceback" not in err
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("verb", ["prepare", "train"])
+    def test_config_naming_a_directory_exits_2(self, tmp_path, capsys, verb):
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestVerify:
+    def test_config_flag_is_rejected(self, capsys):
+        # verify reads no config file, so the flag is a usage error
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "tmap", "--config", "cfg.json"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
     def test_passing_suite_exits_0(self, tmp_path, capsys):
         assert main(["verify", "tmap", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_tmap.json").read_text())
