@@ -55,13 +55,20 @@ def _check_seed(seed, source):
     return seed
 
 
-def _one_seed(args):
+def _one_seed(args, seeds=None):
     """The seed of ``prepare`` and ``verify``: --seed, given at most once,
-    else the CLARINET_SEED environment variable, else 0."""
+    else the one entry of the config's ``seeds`` when the config names them
+    (checked by ``_resolve``), else the CLARINET_SEED environment variable,
+    else 0."""
     if len(args.seed) > 1:
         raise ContractError("%s takes one --seed, got %d" % (args.verb, len(args.seed)))
     if args.seed:
         return _check_seed(args.seed[0], "--seed")
+    if seeds is not None:
+        if len(seeds) != 1:
+            raise ContractError("%s takes one seed, got config key seeds %r"
+                                % (args.verb, seeds))
+        return seeds[0]
     raw = os.environ.get("CLARINET_SEED", "0")
     try:
         seed = int(raw)
@@ -122,9 +129,9 @@ def _check_type(name, value, default):
     return tuple(value) if isinstance(default, tuple) else value
 
 
-def _resolve(args, out):
+def _resolve(args, **defaults):
     """The config of ``prepare`` and ``train``: flags > --config file >
-    defaults, with ``out`` the default output directory.  A key outside
+    TRAIN_DEFAULTS, updated by the verb's own ``defaults``.  A key outside
     TRAIN_DEFAULTS and ``task`` is an error rather than silently ignored,
     and so is a value of the wrong type, from the file or from a flag."""
     config = {} if args.config is None else _read_json(args.config)
@@ -137,12 +144,12 @@ def _resolve(args, out):
                             % (", ".join(unknown), ", ".join(sorted(known))))
     flags = {key: getattr(args, key) for key in TRAIN_DEFAULTS
              if getattr(args, key, None) is not None}
-    resolved = dict(TRAIN_DEFAULTS, out=out)
+    resolved = dict(TRAIN_DEFAULTS, **defaults)
     for key, value in [*config.items(), *flags.items()]:
         if key != "task":
             value = _check_type("config key " + key, value, TRAIN_DEFAULTS[key])
         resolved[key] = value
-    for seed in resolved["seeds"]:
+    for seed in resolved["seeds"] or ():
         _check_seed(seed, "a seed in config key seeds")
     _require_task(resolved.get("task"))
     return resolved
@@ -216,9 +223,10 @@ def _load_task(task, seed):
 
 
 def cmd_prepare(args):
-    resolved = _resolve(args, "prepared")
+    # seeds stays None unless the config names them
+    resolved = _resolve(args, out="prepared", seeds=None)
     task = resolved["task"]
-    seed = _one_seed(args)
+    seed = _one_seed(args, resolved["seeds"])
     out = Path(resolved["out"])
 
     source, tgt = _labelled_pair(task, seed)
@@ -241,7 +249,7 @@ def cmd_prepare(args):
 
 
 def cmd_train(args):
-    resolved = _resolve(args, "runs")
+    resolved = _resolve(args, out="runs")
     if args.seed:
         resolved["seeds"] = [_check_seed(seed, "--seed") for seed in args.seed]
     task = resolved["task"]
@@ -289,13 +297,15 @@ def cmd_train(args):
 
 
 def cmd_verify(args):
-    report = run_suite(args.suite, seed=_one_seed(args))
+    seed = _one_seed(args)
+    # an unusable --out fails before the suite runs
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    report = run_suite(args.suite, seed=seed)
     text = report_json(report)
     print(text)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / ("verify_%s.json" % args.suite), "w") as fh:
+        with open(Path(args.out) / ("verify_%s.json" % args.suite), "w") as fh:
             fh.write(text)
     return 0 if report["passed"] else 1
 
@@ -327,7 +337,7 @@ def build_parser():
     sp = sub.add_parser("prepare", help="generate a complementary-label dataset")
     sp.add_argument("--config", help="JSON config file")
     common(sp, "seed of the complementary labels and the subsample; given once, "
-               "default CLARINET_SEED, else 0")
+               "default the config's one seed, else CLARINET_SEED, else 0")
     sp.set_defaults(fn=cmd_prepare)
 
     sp = sub.add_parser("train", help="run an experiment per seed")

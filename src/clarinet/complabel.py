@@ -7,6 +7,7 @@ Labels are 1-based throughout ({1..K}), matching the dataset convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +28,18 @@ class TransitionMatrix:
     Qinv: np.ndarray
 
 
+@functools.cache
 def transition_matrix(K: int) -> TransitionMatrix:
+    """The transition matrix for K classes, built once per K; its arrays are
+    read-only, since every caller shares them."""
     if K < 2:
         raise ContractError("transition_matrix requires K >= 2, got %r" % K)
     Q = np.full((K, K), 1.0 / (K - 1))
     np.fill_diagonal(Q, 0.0)
     Qinv = np.ones((K, K))
     np.fill_diagonal(Qinv, -(K - 2.0))
+    Q.flags.writeable = False
+    Qinv.flags.writeable = False
     return TransitionMatrix(K=K, Q=Q, Qinv=Qinv)
 
 

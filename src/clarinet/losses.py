@@ -72,30 +72,41 @@ def weighted_ce(probs: Tensor, coef: np.ndarray) -> Tensor:
     return ad._make("weighted_ce", (coef * -np.log(clipped)).sum(axis=0), tape, backward)
 
 
+def objective_coefficients(partition: BatchPartition,
+                           objective: str = "complementary") -> np.ndarray:
+    """The n x K ``weighted_ce`` coefficients of a classifier objective for
+    the batch labels y: ``(1 - (K-1) onehot(y)) / n`` for
+    ``"complementary"``, ``onehot(y) / n`` for ``"ce"``.
+
+    Each row is gathered from a (K+1) x K table whose row y holds label y's
+    coefficients, row 0 unused, so the 1-based labels index it directly.
+    Each entry is the formula's scalar for its onehot bit, so the bits equal
+    those of the array expression.
+    """
+    K = partition.K
+    n = len(partition.labels)
+    onehot = np.eye(K + 1, K, -1, dtype=bool)
+    if objective == "complementary":
+        table = np.where(onehot, (1.0 - (K - 1.0)) / n, 1.0 / n)
+    elif objective == "ce":
+        table = np.where(onehot, 1.0 / n, 0.0 / n)
+    else:
+        raise ContractError("unknown classifier objective %r" % objective)
+    return np.take(table, partition.labels, axis=0)
+
+
 def total_comp_loss(probs: Tensor, partition: BatchPartition,
                     objective: str = "complementary") -> CompLossBreakdown:
     """The per-class losses of a classifier objective, their sum, and the
     negative part.
 
-    ``objective`` picks the ``weighted_ce`` coefficients for the batch labels
-    y: ``(1 - (K-1) onehot(y)) / n`` for ``"complementary"``, the unbiased
-    risk of Ishida et al. (2019), in which a sample with complementary label
-    y costs sum_k CE(p, k) - (K-1) CE(p, y); ``onehot(y) / n`` for ``"ce"``,
-    ordinary cross-entropy on y, whose coefficients are never negative and
-    so neither is any class.
+    ``objective`` picks the ``weighted_ce`` coefficients
+    (``objective_coefficients``): ``"complementary"`` is the unbiased risk of
+    Ishida et al. (2019), in which a sample with complementary label y costs
+    sum_k CE(p, k) - (K-1) CE(p, y); ``"ce"`` is ordinary cross-entropy on
+    y, whose coefficients are never negative and so neither is any class.
     """
-    K = partition.K
-    onehot = partition.labels[:, None] == np.arange(1, K + 1)
-    n = len(partition.labels)
-    # one pass; each entry is the formula's scalar for its onehot bit, so the
-    # bits equal those of the array expression
-    if objective == "complementary":
-        coef = np.where(onehot, (1.0 - (K - 1.0)) / n, 1.0 / n)
-    elif objective == "ce":
-        coef = np.where(onehot, 1.0 / n, 0.0 / n)
-    else:
-        raise ContractError("unknown classifier objective %r" % objective)
-    per_class = weighted_ce(probs, coef)
+    per_class = weighted_ce(probs, objective_coefficients(partition, objective))
     negative = per_class.data < 0.0
     l_neg = ad.tsum(per_class * negative) if negative.any() else Tensor(0.0)
     return CompLossBreakdown(per_class=per_class, total=ad.tsum(per_class), l_neg=l_neg)

@@ -32,10 +32,12 @@ class DiscreteDomain:
     def __post_init__(self):
         post = np.asarray(self.posteriors, dtype=np.float64)
         w = np.asarray(self.weights, dtype=np.float64)
-        if np.any(post < -1e-12) or np.any(np.abs(post.sum(axis=1) - 1.0) > 1e-12):
-            raise ContractError("posterior rows must lie on the simplex")
-        if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-12:
-            raise ContractError("weights must lie on the simplex")
+        # each sum test is written as "not within", so a NaN or infinite
+        # entry, whose row sum is NaN or infinite, fails it
+        if (post < -1e-12).any() or not (np.abs(post.sum(axis=1) - 1.0) <= 1e-12).all():
+            raise ContractError("posteriors must be finite, each row on the simplex")
+        if (w < -1e-12).any() or not abs(w.sum() - 1.0) <= 1e-12:
+            raise ContractError("weights must be finite and lie on the simplex")
         object.__setattr__(self, "posteriors", post)
         object.__setattr__(self, "weights", w)
 
@@ -54,57 +56,87 @@ def _ce_table(predictor: np.ndarray) -> np.ndarray:
     return -np.log(p)
 
 
+def _simplex_rows(predictor) -> np.ndarray:
+    """The predictor as float64, each row finite and on the simplex."""
+    predictor = np.asarray(predictor, dtype=np.float64)
+    if (predictor < 0).any() or not (np.abs(predictor.sum(axis=1) - 1.0) <= 1e-8).all():
+        raise ContractError("predictor must be finite, each row on the simplex")
+    return predictor
+
+
 def exact_unbiasedness(domain: DiscreteDomain, predictor: np.ndarray):
     """True-label risk versus the complementary rewrite, by full enumeration.
 
     rewritten = sum_x w(x) sum_k ell(pred,k) - (K-1) sum_x w(x) sum_k Pbar(k|x) ell(pred,k)
     with Pbar = Q @ P.  Returns (true_risk, rewritten_risk, gap).
     """
-    predictor = np.asarray(predictor, dtype=np.float64)
-    if np.any(predictor < 0) or np.any(np.abs(predictor.sum(axis=1) - 1.0) > 1e-8):
-        raise ContractError("predictor rows must lie on the simplex")
+    predictor = _simplex_rows(predictor)
     if domain.m * domain.K > ENUMERATION_CELL_CAP:
         raise ContractError("enumeration capped at %d cells; use the Monte-Carlo check"
                             % ENUMERATION_CELL_CAP)
     ce = _ce_table(predictor)
-    tm = transition_matrix(domain.K)
-    comp_post = domain.posteriors @ tm.Q.T
-    true_risk = float(np.sum(domain.weights[:, None] * domain.posteriors * ce))
-    all_class = float(np.sum(domain.weights[:, None] * ce))
-    comp_risk = float(np.sum(domain.weights[:, None] * comp_post * ce))
+    w = domain.weights[:, None]
+    comp_post = domain.posteriors @ transition_matrix(domain.K).Q.T
+    true_risk = float((w * domain.posteriors * ce).sum())
+    all_class = float((w * ce).sum())
+    comp_risk = float((w * comp_post * ce).sum())
     rewritten = all_class - (domain.K - 1.0) * comp_risk
     return true_risk, rewritten, abs(true_risk - rewritten)
+
+
+def _complementary_labels(posteriors, xs, u, offsets) -> np.ndarray:
+    """The 1-based complementary labels ``(y0 + offsets) % K + 1``, formed in
+    ``offsets``, of draws at the points ``xs`` with uniforms ``u``.
+
+    y0, the 0-based true label, is the first k with ``u < cum[x, k]``,
+    ``cum`` the running sum of x's posterior row, and 0 when there is none.
+    With ``top`` the running maximum of each ``cum`` row, which never
+    decreases, that k is the number of k with ``u >= top[x, k]``; a count
+    of K means there is none, and the wrap ``% K`` maps it to 0.  This holds
+    also where an entry down to -1e-12 makes a ``cum`` row dip.
+    """
+    K = posteriors.shape[1]
+    top = np.maximum.accumulate(np.cumsum(posteriors, axis=1), axis=1)
+    for column in top.T:
+        offsets += u >= np.take(column, xs)
+    offsets %= K
+    offsets += 1
+    return offsets
 
 
 def monte_carlo_unbiasedness(domain: DiscreteDomain, predictor: np.ndarray,
                              n_samples: int, seed: int):
     """Sample complementary labels, score the sample as one batch, and report
-    the standardized deviation from the enumerated true risk."""
+    the standardized deviation from the enumerated true risk.
+
+    ``default_rng(seed)`` draws, in this order: the points
+    ``choice(m, n_samples, p=weights)``, one uniform per draw for its true
+    label, and the offsets ``integers(1, K, n_samples)`` that take each true
+    label to a uniform complementary one (``_complementary_labels``).
+    """
     if n_samples < 1000:
         raise ContractError("monte_carlo_unbiasedness needs n >= 1000")
+    predictor = _simplex_rows(predictor)
     rng = np.random.default_rng(seed)
-    predictor = np.asarray(predictor, dtype=np.float64)
     K = domain.K
     xs = rng.choice(domain.m, size=n_samples, p=domain.weights)
-    # 0-based true label per draw, then a uniform complementary label
-    # (y0 + offset) % K + 1, formed in place
     u = rng.random(n_samples)
-    cum = np.cumsum(domain.posteriors, axis=1)
-    y0 = (u[:, None] < cum[xs]).argmax(axis=1)
-    ybar = rng.integers(1, K, size=n_samples)
-    ybar += y0
-    ybar %= K
-    ybar += 1
+    ybar = _complementary_labels(domain.posteriors, xs, u,
+                                 rng.integers(1, K, size=n_samples))
 
     partition = partition_batch(ybar, K)
-    breakdown = total_comp_loss(Tensor(predictor[xs]), partition)
+    breakdown = total_comp_loss(Tensor(np.take(predictor, xs, axis=0)), partition)
     empirical = breakdown.total.item()
 
     ce = _ce_table(predictor)
     true_risk, _, _ = exact_unbiasedness(domain, predictor)
     # the one-batch total is the mean of psi_i = sum_k ell_i(k) - (K-1) ell_i(ybar_i);
-    # the row sums are taken once per point and gathered
-    psi = ce.sum(axis=1)[xs] - (K - 1.0) * ce[xs, ybar - 1]
+    # the row sums are taken once per point and gathered, and ell_i(ybar_i)
+    # is gathered from the flat table at xs_i * K + ybar_i - 1
+    flat = xs * K
+    flat += ybar
+    flat -= 1
+    psi = np.take(ce.sum(axis=1), xs) - (K - 1.0) * np.take(ce.ravel(), flat)
     se = float(psi.std(ddof=1) / np.sqrt(n_samples))
     z = (empirical - true_risk) / se if se > 0 else 0.0
     return empirical, true_risk, float(z)

@@ -16,10 +16,12 @@ SMALL_TASK = {"type": "synthetic", "K": 4, "n_per_domain": 200, "spread": 0.45,
 
 
 def write_config(tmp_path, **overrides):
+    """A small config file; an override of None leaves its key out."""
     config = {"task": SMALL_TASK, "epochs": 3, "ts": 1, "batch": 64,
               "gamma1": 0.02, "gamma2": 0.001, "hidden": 16, "d_g": 8,
               "seeds": [0]}
     config.update(overrides)
+    config = {key: value for key, value in config.items() if value is not None}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
@@ -58,6 +60,28 @@ class TestPrepare:
         assert (a / "target.csv").read_bytes() == (b / "target.csv").read_bytes()
 
 
+    def test_config_seed_equals_the_flag(self, tmp_path, capsys, monkeypatch):
+        # --seed, then the config's one seed, then CLARINET_SEED, then 0
+        monkeypatch.setenv("CLARINET_SEED", "5")
+        runs = {}
+        for name, seeds, flags in (("config", [3], []), ("flag", None, ["--seed", "3"]),
+                                   ("flag_over_config", [4], ["--seed", "3"])):
+            out = tmp_path / name
+            cfg = write_config(tmp_path, seeds=seeds)
+            assert main(["prepare", "--config", str(cfg), "--out", str(out)] + flags) == 0
+            runs[name] = ({f.name: f.read_bytes() for f in out.iterdir()},
+                          capsys.readouterr().out.replace(str(out), "OUT"))
+        assert json.loads(runs["config"][0]["manifest.json"])["seed"] == 3
+        assert runs["config"] == runs["flag"] == runs["flag_over_config"]
+
+    def test_config_with_two_seeds_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seeds=[3, 4])
+        out = tmp_path / "prepared"
+        assert main(["prepare", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: prepare takes one seed, got config key seeds [3, 4]\n"
+        assert not out.exists()
+
     def test_missing_task_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"epochs": 1}))
@@ -69,7 +93,8 @@ class TestPrepare:
     @pytest.mark.parametrize("verb", ["prepare", "verify"])
     def test_non_integer_env_seed_exits_2(self, tmp_path, capsys, monkeypatch, verb):
         monkeypatch.setenv("CLARINET_SEED", "seven")
-        argv = (["prepare", "--config", str(write_config(tmp_path)),
+        # a config's seeds come before CLARINET_SEED, so this one names none
+        argv = (["prepare", "--config", str(write_config(tmp_path, seeds=None)),
                  "--out", str(tmp_path / "p")] if verb == "prepare" else ["verify", "tmap"])
         assert main(argv) == 2
         assert "CLARINET_SEED must be an integer, got 'seven'" in capsys.readouterr().err
@@ -91,7 +116,9 @@ class TestNegativeSeed:
             monkeypatch.setenv("CLARINET_SEED", env)
         out = tmp_path / "out"
         argv = [verb] + flags + ["--out", str(out)]
-        argv += ["tmap"] if verb == "verify" else ["--config", str(write_config(tmp_path))]
+        # a config's seeds come before CLARINET_SEED, so this one names none
+        cfg = write_config(tmp_path, seeds=None)
+        argv += ["tmap"] if verb == "verify" else ["--config", str(cfg)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error: " + message in err
@@ -392,6 +419,20 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_tmap.json").read_text())
         assert report["passed"] is True
         assert '"passed": true' in capsys.readouterr().out
+
+    def test_out_naming_a_file_fails_before_the_suite(self, tmp_path, capsys, monkeypatch):
+        import clarinet.cli as cli_mod
+
+        def no_suite(name, seed=0):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli_mod, "run_suite", no_suite)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["verify", "all", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and str(out) in captured.err
 
     def test_gradcheck_at_seed_2049_exits_0(self, capsys):
         # the div check's input once came within 4.2e-4 of the pole here

@@ -15,7 +15,7 @@ import pytest
 
 from clarinet.autodiff import Tape, Tensor
 from clarinet.complabel import partition_batch
-from clarinet.losses import PROB_FLOOR, total_comp_loss
+from clarinet.losses import PROB_FLOOR, objective_coefficients, total_comp_loss
 
 
 def reference(P, labels, K, objective="complementary"):
@@ -124,3 +124,19 @@ def test_batch_with_some_negative_classes(K):
     assert "grad_l_neg" in fused
     assert_identical(reference(P, labels, K), fused)
 
+
+
+@pytest.mark.parametrize("objective", ["complementary", "ce"])
+@pytest.mark.parametrize("n", [1, 128, 100_000])
+@pytest.mark.parametrize("K", [2, 4, 10])
+def test_coefficient_table_equals_the_onehot_form(K, n, objective):
+    # the onehot/np.where form the table gather replaced, compared bit for bit
+    labels = np.random.default_rng([K, n]).integers(1, K + 1, size=n)
+    onehot = labels[:, None] == np.arange(1, K + 1)
+    if objective == "complementary":
+        expected = np.where(onehot, (1.0 - (K - 1.0)) / n, 1.0 / n)
+    else:
+        expected = np.where(onehot, 1.0 / n, 0.0 / n)
+    coef = objective_coefficients(partition_batch(labels, K), objective)
+    assert coef.shape == expected.shape
+    assert np.array_equal(coef.view(np.int64), expected.view(np.int64))

@@ -29,6 +29,15 @@ class TestTransitionMatrix:
         assert np.array_equal(np.diag(tm.Q), np.zeros(7))
         assert np.abs(tm.Q.sum(axis=1) - 1.0).max() < 1e-12
 
+    def test_shared_and_read_only(self):
+        # built once per K, so no caller may write to it
+        tm = transition_matrix(4)
+        assert transition_matrix(4) is tm
+        for array in (tm.Q, tm.Qinv):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
     def test_k_below_two_rejected(self):
         with pytest.raises(ContractError):
             transition_matrix(1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import clarinet.verify as verify_mod
 from clarinet.errors import ContractError
-from clarinet.verify import (DiscreteDomain, exact_unbiasedness,
+from clarinet.verify import (DiscreteDomain, _complementary_labels, exact_unbiasedness,
                              finite_difference, gradcheck_suite,
                              monte_carlo_unbiasedness, relative_error,
                              report_json, run_suite)
@@ -79,7 +79,107 @@ class TestExactUnbiasedness:
             DiscreteDomain(posteriors=np.array([[0.5, 0.5]]), weights=np.array([0.9]))
 
 
+class TestNonFiniteInputs:
+    # NaN compares false both ways, so a range test alone lets it through
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_domain_rejected(self, bad):
+        with pytest.raises(ContractError, match="posteriors"):
+            DiscreteDomain(posteriors=np.array([[bad, bad]]), weights=np.array([1.0]))
+        with pytest.raises(ContractError, match="posteriors"):
+            DiscreteDomain(posteriors=np.array([[0.5, 0.5], [bad, 0.5]]),
+                           weights=np.array([0.5, 0.5]))
+        with pytest.raises(ContractError, match="weights"):
+            DiscreteDomain(posteriors=np.array([[0.5, 0.5]]), weights=np.array([bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_predictor_rejected(self, bad):
+        domain = DiscreteDomain(posteriors=np.array([[0.5, 0.5], [0.2, 0.8]]),
+                                weights=np.array([0.5, 0.5]))
+        predictor = np.array([[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(ContractError, match="predictor"):
+            exact_unbiasedness(domain, predictor)
+        with pytest.raises(ContractError, match="predictor"):
+            monte_carlo_unbiasedness(domain, predictor, 1000, seed=0)
+
+
+def argmax_labels(posteriors, xs, u, offsets):
+    """The complementary labels as the oracle drew them before the running
+    maximum: the first k with u < cum[x, k], else 0, then the offset."""
+    K = posteriors.shape[1]
+    y0 = (u[:, None] < np.cumsum(posteriors, axis=1)[xs]).argmax(axis=1)
+    return (y0 + offsets) % K + 1
+
+
+class TestComplementaryLabels:
+    @pytest.mark.parametrize("rows", [
+        # zero columns, first, inner and last
+        [[0.0, 0.5, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+         [0.0, 0.0, 1.0, 0.0]],
+        # entries of -1e-12 that make the running sum dip
+        [[0.5, -1e-12, 0.5 + 1e-12], [0.6, 0.4 + 5e-13, -1e-12],
+         [-1e-12, 1.0, 1e-12]],
+        # running sums that end just below 1
+        [[0.3, 0.7 - 5e-13], [0.25, 0.25, 0.25, 0.25 - 8e-13]],
+    ])
+    def test_equals_the_argmax_draw(self, rows):
+        width = max(map(len, rows))
+        for row in rows:
+            posteriors = np.array([row + [0.0] * (width - len(row))])
+            DiscreteDomain(posteriors=posteriors, weights=np.array([1.0]))
+            cum = np.cumsum(posteriors[0])
+            # u at, just below and just above every running-sum entry,
+            # the last included, within [0, 1)
+            u = np.concatenate([cum, np.nextafter(cum, -1.0), np.nextafter(cum, 2.0),
+                                [0.0, 0.5, np.nextafter(1.0, 0.0)]])
+            u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+            xs = np.zeros(len(u), dtype=np.int64)
+            for offset in range(1, width):
+                offsets = np.full(len(u), offset, dtype=np.int64)
+                expected = argmax_labels(posteriors, xs, u, offsets)
+                assert np.array_equal(_complementary_labels(posteriors, xs, u, offsets),
+                                      expected), (row, offset)
+
+    @pytest.mark.parametrize("K", [2, 4, 10])
+    def test_equals_the_argmax_draw_on_random_domains(self, K):
+        rng = np.random.default_rng(K)
+        posteriors = rng.dirichlet(np.full(K, 0.3), size=12)
+        posteriors[:, 1] = 0.0
+        posteriors /= posteriors.sum(axis=1, keepdims=True)
+        xs = rng.integers(0, 12, size=20_000)
+        u = rng.random(20_000)
+        offsets = rng.integers(1, K, size=20_000)
+        expected = argmax_labels(posteriors, xs, u, offsets)
+        assert np.array_equal(_complementary_labels(posteriors, xs, u, offsets), expected)
+
+
 class TestMonteCarlo:
+    # (empirical, true risk, z) from the argmax label draw and the fancy
+    # gathers the oracle used before its table gathers, bit for bit
+    PINNED_K4 = {
+        0: ("0x1.0915c01e8f0b7p+1", "0x1.098f9c5e6acf4p+1", "-0x1.71852c2695509p-2"),
+        1: ("0x1.08edc3ae4e397p+1", "0x1.098f9c5e6acf4p+1", "-0x1.ed93b9eb95855p-2"),
+        2: ("0x1.0b9835fa2007ep+1", "0x1.098f9c5e6acf4p+1", "0x1.8c69d34857287p+0"),
+    }
+    PINNED_K10 = ("0x1.75b3fcb06a78fp+1", "0x1.732d4bd853e21p+1", "0x1.49816f36f7db0p-1")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pinned_at_k4(self, seed):
+        rng = np.random.default_rng(5)
+        domain = random_domain(rng, 8, 4)
+        predictor = rng.dirichlet(np.ones(4), size=8)
+        out = monte_carlo_unbiasedness(domain, predictor, 100_000, seed=seed)
+        assert tuple(map(float.hex, out)) == self.PINNED_K4[seed]
+
+    def test_pinned_at_k10_with_a_zero_column(self):
+        rng = np.random.default_rng(6)
+        posteriors = rng.dirichlet(np.ones(10), size=20)
+        posteriors[:, 3] = 0.0
+        posteriors /= posteriors.sum(axis=1, keepdims=True)
+        domain = DiscreteDomain(posteriors=posteriors, weights=rng.dirichlet(np.ones(20)))
+        predictor = rng.dirichlet(np.ones(10), size=20)
+        out = monte_carlo_unbiasedness(domain, predictor, 100_000, seed=0)
+        assert tuple(map(float.hex, out)) == self.PINNED_K10
+
     def test_z_within_normal_range(self):
         rng = np.random.default_rng(3)
         domain = random_domain(rng, 9, 4)
