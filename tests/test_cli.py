@@ -59,20 +59,20 @@ class TestPrepare:
         # the features themselves are seed-independent; only labels differ
         assert (a / "target.csv").read_bytes() == (b / "target.csv").read_bytes()
 
-
     def test_config_seed_equals_the_flag(self, tmp_path, capsys, monkeypatch):
         # --seed, then the config's one seed, then CLARINET_SEED, then 0
         monkeypatch.setenv("CLARINET_SEED", "5")
         runs = {}
         for name, seeds, flags in (("config", [3], []), ("flag", None, ["--seed", "3"]),
-                                   ("flag_over_config", [4], ["--seed", "3"])):
+                                   ("flag_over_config", [4], ["--seed", "3"]),
+                                   ("flag_over_two", [3, 4], ["--seed", "3"])):
             out = tmp_path / name
             cfg = write_config(tmp_path, seeds=seeds)
             assert main(["prepare", "--config", str(cfg), "--out", str(out)] + flags) == 0
             runs[name] = ({f.name: f.read_bytes() for f in out.iterdir()},
                           capsys.readouterr().out.replace(str(out), "OUT"))
         assert json.loads(runs["config"][0]["manifest.json"])["seed"] == 3
-        assert runs["config"] == runs["flag"] == runs["flag_over_config"]
+        assert all(run == runs["flag"] for run in runs.values())
 
     def test_config_with_two_seeds_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seeds=[3, 4])
