@@ -14,7 +14,7 @@ on and off, and prints both loss trajectories.
 import numpy as np
 
 from clarinet.data import SyntheticPairConfig, make_synthetic_pair
-from clarinet.train import TrainConfig, train_gac
+from clarinet.train import TrainConfig, train_clarinet
 
 cfg = SyntheticPairConfig(K=4, n_per_domain=40, spread=0.2, rotation_deg=0.0,
                           seed=3)
@@ -25,9 +25,9 @@ print("Tiny dataset: %d samples, 4 classes, full-batch updates, lr 0.1." % len(s
 
 def run(correction):
     config = TrainConfig(K=4, t_max=80, t_s=80, gamma1=0.1, batch_size=40,
-                         seed=3, hidden=32, d_g=16,
+                         seed=3, hidden=32, d_g=16, variant="gac",
                          correction_enabled=correction)
-    return train_gac(source, config)
+    return train_clarinet(source, None, config)   # gac reads no target data
 
 
 print("\n%-8s %-22s %-22s" % ("epoch", "with correction", "without correction"))

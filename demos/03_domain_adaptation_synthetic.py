@@ -18,7 +18,7 @@ The one-step trainer should come out on top, the non-transfer baseline last.
 import numpy as np
 
 from clarinet.data import SyntheticPairConfig, make_synthetic_pair
-from clarinet.train import TrainConfig, train_variant
+from clarinet.train import TrainConfig, train_clarinet
 
 cfg = SyntheticPairConfig(K=4, n_per_domain=2000, spread=0.45,
                           rotation_deg=30.0, seed=0)
@@ -33,8 +33,7 @@ for variant in ("gac", "two-step", "clarinet"):
         config = TrainConfig(K=4, t_max=60, t_s=10, gamma1=0.02, gamma2=0.001,
                              batch_size=128, hidden=32, d_g=16, seed=seed,
                              variant=variant)
-        result = train_variant(variant, source, tgt.unlabeled(), config,
-                               eval_data=tgt)
+        result = train_clarinet(source, tgt.unlabeled(), config, eval_data=tgt)
         accs.append(result.records[-1].target_acc)
     print("%-10s target accuracy %.4f +- %.4f over %d seeds"
           % (variant, np.mean(accs), np.std(accs), len(SEEDS)))

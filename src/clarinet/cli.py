@@ -25,7 +25,7 @@ from .data import (LabeledDataset, SyntheticPairConfig, UnlabeledDataset,
                    load_idx, make_synthetic_pair, read_csv, write_csv)
 from .errors import ContractError, FormatError, NonFiniteValue
 from .models import load_checkpoint, save_checkpoint
-from .train import VARIANTS, TrainConfig, evaluate, train_variant, write_metrics_csv
+from .train import VARIANTS, TrainConfig, evaluate, train_clarinet, write_metrics_csv
 from .verify import report_json, run_suite
 
 # the config name of a TrainConfig field, where the two differ
@@ -46,6 +46,17 @@ def _read_json(path):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise ContractError("%s is not JSON: %s" % (path, exc)) from None
+
+
+def _finite(value):
+    """``value``, or None where it is missing or not finite: a run without
+    target labels has no accuracy, and JSON has no NaN."""
+    return value if value is not None and math.isfinite(value) else None
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, allow_nan=False)
 
 
 def _check_seed(seed, source):
@@ -252,6 +263,12 @@ def cmd_train(args):
     resolved = _resolve(args, out="runs")
     if args.seed:
         resolved["seeds"] = [_check_seed(seed, "--seed") for seed in args.seed]
+    seeds = resolved["seeds"]
+    for seed in seeds:
+        if seeds.count(seed) > 1:
+            raise ContractError("seed %d is given %d times in %s"
+                                % (seed, seeds.count(seed),
+                                   "--seed" if args.seed else "config key seeds"))
     task = resolved["task"]
     out = Path(resolved["out"])
 
@@ -259,13 +276,18 @@ def cmd_train(args):
     per_seed = []
     for seed in resolved["seeds"]:
         source, target, eval_data = _load_task(task, seed)
+        # the summaries echo the task, also its keys that nothing reads
+        try:
+            json.dumps(task, allow_nan=False)
+        except ValueError:
+            raise ContractError("task must hold only finite numbers, got %r" % (task,)) from None
         resolved["K"] = source.K
         tc = _train_config(resolved, seed)
         out.mkdir(parents=True, exist_ok=True)
         if VARIANTS[tc.variant].adversary == "none":
             print("variant=%s: target data are ignored (non-transfer baseline)" % tc.variant)
         try:
-            result = train_variant(tc.variant, source, target, tc, eval_data)
+            result = train_clarinet(source, target, tc, eval_data)
         except Exception:
             print("run failed for seed %d" % seed, file=sys.stderr)
             raise
@@ -274,25 +296,23 @@ def cmd_train(args):
         save_checkpoint(out / ("%s_seed%d.ckpt" % (tc.variant, seed)), result.model)
         final_acc = result.records[-1].target_acc
         accuracies.append(final_acc)
-        summary = {"seed": seed, "final_target_acc": final_acc,
+        summary = {"seed": seed, "final_target_acc": _finite(final_acc),
                    "metrics_csv": csv_path.name,
-                   "pseudo_label_noise": result.extras.get("pseudo_label_noise"),
+                   "pseudo_label_noise": _finite(result.extras.get("pseudo_label_noise")),
                    "resolved_config": {k: v for k, v in resolved.items()},
                    }
-        with open(out / ("%s_seed%d.json" % (tc.variant, seed)), "w") as fh:
-            json.dump(summary, fh, indent=2)
+        _write_json(out / ("%s_seed%d.json" % (tc.variant, seed)), summary)
         per_seed.append(summary)
         print("seed %d: final target accuracy %.4f" % (seed, final_acc))
 
+    mean, std = float(np.mean(accuracies)), float(np.std(accuracies))
     agg = {"variant": resolved["variant"], "seeds": list(resolved["seeds"]),
-           "final_target_acc_mean": float(np.mean(accuracies)),
-           "final_target_acc_std": float(np.std(accuracies)),
+           "final_target_acc_mean": _finite(mean),
+           "final_target_acc_std": _finite(std),
            "per_seed": [s["final_target_acc"] for s in per_seed],
            "resolved_config": {k: v for k, v in resolved.items()}}
-    with open(out / ("%s_aggregate.json" % resolved["variant"]), "w") as fh:
-        json.dump(agg, fh, indent=2)
-    print("mean %.4f +- %.4f over %d seeds"
-          % (agg["final_target_acc_mean"], agg["final_target_acc_std"], len(accuracies)))
+    _write_json(out / ("%s_aggregate.json" % resolved["variant"]), agg)
+    print("mean %.4f +- %.4f over %d seeds" % (mean, std, len(accuracies)))
     return 0
 
 

@@ -82,14 +82,6 @@ class ComplementaryDataset:
         return self._true_labels
 
 
-@dataclass(frozen=True)
-class BatchPartition:
-    """A minibatch's complementary labels, checked against the class count."""
-
-    K: int
-    labels: np.ndarray      # n ints in {1..K}
-
-
 def generate_complementary(features, true_labels, K: int, rng: np.random.Generator,
                            name: str = "") -> ComplementaryDataset:
     """Draw one complementary label per sample, uniform over the K-1 wrong classes."""
@@ -117,11 +109,12 @@ def recover_posterior(eta_bar: np.ndarray) -> np.ndarray:
     return 1.0 - (K - 1.0) * eta_bar
 
 
-def partition_batch(comp_labels, K: int) -> BatchPartition:
-    """Check a minibatch's complementary labels: at least one, each in {1..K}."""
+def partition_batch(comp_labels, K: int) -> np.ndarray:
+    """A minibatch's complementary labels as int64, checked: at least one,
+    each in {1..K}."""
     comp_labels = np.asarray(comp_labels, dtype=np.int64)
     if len(comp_labels) == 0:
         raise ContractError("partition_batch got an empty minibatch")
     if comp_labels.min() < 1 or comp_labels.max() > K:
         raise ContractError("labels out of range {1..%d}" % K)
-    return BatchPartition(K=K, labels=comp_labels)
+    return comp_labels

@@ -1,17 +1,14 @@
-"""Loss computations: both classifier objectives as one weighted cross-entropy
-with a per-class breakdown, the prediction-scattering map, entropy weights,
-and the weighted conditional adversarial loss.
+"""Loss computations: both classifier objectives as one per-class weighted
+cross-entropy, the prediction-scattering map, entropy weights, and the
+weighted conditional adversarial loss.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .complabel import BatchPartition
 from .errors import ContractError, ShapeMismatch
 
 PROB_FLOOR = 1e-12
@@ -21,33 +18,6 @@ def cross_entropy_to_class(probs: Tensor, k: int) -> Tensor:
     """Per-sample -log p_k against a fixed 1-based class; probabilities floored."""
     p = ad.clamp(ad.column(probs, k - 1), lo=PROB_FLOOR, hi=1.0)
     return -ad.log(p)
-
-
-@dataclass
-class CompLossBreakdown:
-    """Per-class losses of a classifier objective, their sum, and the negative part.
-
-    ``per_class`` is the K-vector of per-class losses, one tape node;
-    ``total`` and ``l_neg`` are ``tsum`` nodes over it, so either branch of
-    the descent/ascent correction can backpropagate.  ``l_neg`` sums the
-    negative entries, and is a zero constant when none is negative.
-    """
-
-    per_class: Tensor          # K-vector on the tape
-    total: Tensor
-    l_neg: Tensor
-
-    @property
-    def per_class_values(self) -> np.ndarray:
-        return self.per_class.data.copy()
-
-    @property
-    def min_class(self) -> float:
-        return float(self.per_class.data.min())
-
-    @property
-    def l_neg_value(self) -> float:
-        return self.l_neg.item()
 
 
 def weighted_ce(probs: Tensor, coef: np.ndarray) -> Tensor:
@@ -72,19 +42,18 @@ def weighted_ce(probs: Tensor, coef: np.ndarray) -> Tensor:
     return ad._make("weighted_ce", (coef * -np.log(clipped)).sum(axis=0), tape, backward)
 
 
-def objective_coefficients(partition: BatchPartition,
+def objective_coefficients(labels: np.ndarray, K: int,
                            objective: str = "complementary") -> np.ndarray:
     """The n x K ``weighted_ce`` coefficients of a classifier objective for
-    the batch labels y: ``(1 - (K-1) onehot(y)) / n`` for
+    the 1-based batch labels y: ``(1 - (K-1) onehot(y)) / n`` for
     ``"complementary"``, ``onehot(y) / n`` for ``"ce"``.
 
     Each row is gathered from a (K+1) x K table whose row y holds label y's
-    coefficients, row 0 unused, so the 1-based labels index it directly.
-    Each entry is the formula's scalar for its onehot bit, so the bits equal
-    those of the array expression.
+    coefficients, row 0 unused, so the labels index it directly.  Each entry
+    is the formula's scalar for its onehot bit, so the bits equal those of
+    the array expression.
     """
-    K = partition.K
-    n = len(partition.labels)
+    n = len(labels)
     onehot = np.eye(K + 1, K, -1, dtype=bool)
     if objective == "complementary":
         table = np.where(onehot, (1.0 - (K - 1.0)) / n, 1.0 / n)
@@ -92,24 +61,22 @@ def objective_coefficients(partition: BatchPartition,
         table = np.where(onehot, 1.0 / n, 0.0 / n)
     else:
         raise ContractError("unknown classifier objective %r" % objective)
-    return np.take(table, partition.labels, axis=0)
+    return np.take(table, labels, axis=0)
 
 
-def total_comp_loss(probs: Tensor, partition: BatchPartition,
-                    objective: str = "complementary") -> CompLossBreakdown:
-    """The per-class losses of a classifier objective, their sum, and the
-    negative part.
+def total_comp_loss(probs: Tensor, labels: np.ndarray,
+                    objective: str = "complementary") -> Tensor:
+    """The K-vector of per-class losses of a classifier objective, one
+    ``weighted_ce`` node; K is ``probs``' column count and ``labels`` the
+    batch's 1-based labels, checked by ``complabel.partition_batch``.
 
-    ``objective`` picks the ``weighted_ce`` coefficients
-    (``objective_coefficients``): ``"complementary"`` is the unbiased risk of
-    Ishida et al. (2019), in which a sample with complementary label y costs
+    ``objective`` picks the coefficients (``objective_coefficients``):
+    ``"complementary"`` is the unbiased risk of Ishida et al. (2019), in
+    which a sample with complementary label y costs
     sum_k CE(p, k) - (K-1) CE(p, y); ``"ce"`` is ordinary cross-entropy on
     y, whose coefficients are never negative and so neither is any class.
     """
-    per_class = weighted_ce(probs, objective_coefficients(partition, objective))
-    negative = per_class.data < 0.0
-    l_neg = ad.tsum(per_class * negative) if negative.any() else Tensor(0.0)
-    return CompLossBreakdown(per_class=per_class, total=ad.tsum(per_class), l_neg=l_neg)
+    return weighted_ce(probs, objective_coefficients(labels, probs.shape[1], objective))
 
 
 def scatter_map(probs: Tensor, l: float) -> Tensor:

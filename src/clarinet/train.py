@@ -156,18 +156,15 @@ def _classifier_step(triplet, feats, labels, config):
     f = triplet.F.forward(tape, g)
     side = triplet.classifier_side
 
-    partition = partition_batch(labels, config.K)
-    breakdown = total_comp_loss(f, partition, VARIANTS[config.variant].objective)
-    total_value = breakdown.total.item()
-    l_neg_value = breakdown.l_neg_value
+    labels = partition_batch(labels, config.K)
+    per_class = total_comp_loss(f, labels, VARIANTS[config.variant].objective)
+    negative = per_class.data < 0.0
+    ascend = config.correction_enabled and bool(negative.any())
+    l_neg = float((per_class.data * negative).sum()) if negative.any() else 0.0
     side.zero_grad()
-    if breakdown.min_class >= 0.0 or not config.correction_enabled:
-        tape.backward(breakdown.total)
-        sgd_step([side], config.gamma1, config.momentum, config.weight_decay)
-        return total_value, l_neg_value, False
-    tape.backward(breakdown.l_neg)
-    sgd_step([side], config.gamma1, config.momentum, config.weight_decay, ascend=True)
-    return total_value, l_neg_value, True
+    tape.backward(ad.tsum(per_class * negative) if ascend else ad.tsum(per_class))
+    sgd_step([side], config.gamma1, config.momentum, config.weight_decay, ascend=ascend)
+    return float(per_class.data.sum()), l_neg, ascend
 
 
 def _adversarial_step(triplet, src_feats, tgt_feats, lam, config):
@@ -261,7 +258,7 @@ def _run_loop(triplet, source: ComplementaryDataset, labels, target,
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# entry point
 
 
 def _fresh_triplet(d: int, config: TrainConfig) -> NetworkTriplet:
@@ -272,63 +269,31 @@ def _fresh_triplet(d: int, config: TrainConfig) -> NetworkTriplet:
     return build_triplet(*specs, seed=config.seed)
 
 
-def train_clarinet(source: ComplementaryDataset, target: UnlabeledDataset,
+def train_clarinet(source: ComplementaryDataset, target: UnlabeledDataset | None,
                    config: TrainConfig, eval_data: LabeledDataset | None = None,
-                   triplet: NetworkTriplet | None = None,
                    epoch_callback=None) -> TrainResult:
-    """The one-step trainer: every variant with a conditional adversary, so
-    both ablations too."""
-    if VARIANTS[config.variant].adversary != "conditional":
-        raise ContractError("train_clarinet got variant %r" % config.variant)
-    if triplet is None:
-        triplet = _fresh_triplet(source.features.shape[1], config)
-    records = _run_loop(triplet, source, source.comp_labels, target, config, eval_data,
-                        epoch_callback=epoch_callback)
-    return TrainResult(model=triplet, records=records)
-
-
-def train_gac(source: ComplementaryDataset, config: TrainConfig,
-              eval_data: LabeledDataset | None = None,
-              triplet: NetworkTriplet | None = None,
-              epoch_callback=None) -> TrainResult:
-    """Non-transfer baseline: complementary classification with the ascent
-    correction, no adversary."""
-    config = replace(config, variant="gac")
-    if triplet is None:
-        triplet = _fresh_triplet(source.features.shape[1], config)
-    records = _run_loop(triplet, source, source.comp_labels, None, config, eval_data,
-                        epoch_callback=epoch_callback)
-    return TrainResult(model=triplet, records=records)
-
-
-def train_two_step(source: ComplementaryDataset, target: UnlabeledDataset,
-                   config: TrainConfig, eval_data: LabeledDataset | None = None) -> TrainResult:
-    """Label-correct with the ascent baseline, then adversarial adaptation on the
-    pseudo labels with an unconditional feature-level adversary."""
-    stage1 = train_gac(source, config)
-    pseudo = pseudo_label(stage1.model, source.features)
-    extras = {"stage1_records": stage1.records, "stage1_model": stage1.model,
-              "pseudo_labels": pseudo}
-    try:
-        true = source.hidden_true_labels()
-        extras["pseudo_label_noise"] = float(np.mean(pseudo != true))
-    except ContractError:
-        extras["pseudo_label_noise"] = float("nan")
-
-    config = replace(config, variant="two-step")
+    """Train ``config.variant``.  gac reads no target, which may be None;
+    two-step first trains gac, then adapts on that model's pseudo labels
+    with a plain feature-level adversary."""
+    variant = VARIANTS[config.variant]
+    if variant.adversary != "none" and target is None:
+        raise ContractError("variant %r needs target data, got None" % config.variant)
+    labels, extras = source.comp_labels, {}
+    if config.variant == "two-step":
+        stage1 = train_clarinet(source, None, replace(config, variant="gac"))
+        labels = pseudo_label(stage1.model, source.features)
+        try:
+            noise = float(np.mean(labels != source.hidden_true_labels()))
+        except ContractError:
+            noise = float("nan")
+        extras = {"stage1_model": stage1.model, "pseudo_labels": labels,
+                  "pseudo_label_noise": noise}
+    if variant.adversary == "none":
+        target = None
     triplet = _fresh_triplet(source.features.shape[1], config)
-    records = _run_loop(triplet, source, pseudo, target, config, eval_data)
+    records = _run_loop(triplet, source, labels, target, config, eval_data,
+                        epoch_callback=epoch_callback)
     return TrainResult(model=triplet, records=records, extras=extras)
-
-
-def train_variant(variant: str, source, target, config, eval_data=None) -> TrainResult:
-    """Train ``variant``, whatever ``config.variant`` says."""
-    config = replace(config, variant=variant)
-    if variant == "gac":
-        return train_gac(source, config, eval_data)
-    if variant == "two-step":
-        return train_two_step(source, target, config, eval_data)
-    return train_clarinet(source, target, config, eval_data)
 
 
 # ---------------------------------------------------------------------------

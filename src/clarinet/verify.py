@@ -56,9 +56,13 @@ def _ce_table(predictor: np.ndarray) -> np.ndarray:
     return -np.log(p)
 
 
-def _simplex_rows(predictor) -> np.ndarray:
-    """The predictor as float64, each row finite and on the simplex."""
+def _simplex_rows(predictor, domain: DiscreteDomain) -> np.ndarray:
+    """The predictor as float64, one row per domain point and one column per
+    class, each row finite and on the simplex."""
     predictor = np.asarray(predictor, dtype=np.float64)
+    if predictor.shape != domain.posteriors.shape:
+        raise ContractError("predictor has shape %s, the domain's is %s"
+                            % (predictor.shape, domain.posteriors.shape))
     if (predictor < 0).any() or not (np.abs(predictor.sum(axis=1) - 1.0) <= 1e-8).all():
         raise ContractError("predictor must be finite, each row on the simplex")
     return predictor
@@ -70,7 +74,7 @@ def exact_unbiasedness(domain: DiscreteDomain, predictor: np.ndarray):
     rewritten = sum_x w(x) sum_k ell(pred,k) - (K-1) sum_x w(x) sum_k Pbar(k|x) ell(pred,k)
     with Pbar = Q @ P.  Returns (true_risk, rewritten_risk, gap).
     """
-    predictor = _simplex_rows(predictor)
+    predictor = _simplex_rows(predictor, domain)
     if domain.m * domain.K > ENUMERATION_CELL_CAP:
         raise ContractError("enumeration capped at %d cells; use the Monte-Carlo check"
                             % ENUMERATION_CELL_CAP)
@@ -116,7 +120,7 @@ def monte_carlo_unbiasedness(domain: DiscreteDomain, predictor: np.ndarray,
     """
     if n_samples < 1000:
         raise ContractError("monte_carlo_unbiasedness needs n >= 1000")
-    predictor = _simplex_rows(predictor)
+    predictor = _simplex_rows(predictor, domain)
     rng = np.random.default_rng(seed)
     K = domain.K
     xs = rng.choice(domain.m, size=n_samples, p=domain.weights)
@@ -124,9 +128,9 @@ def monte_carlo_unbiasedness(domain: DiscreteDomain, predictor: np.ndarray,
     ybar = _complementary_labels(domain.posteriors, xs, u,
                                  rng.integers(1, K, size=n_samples))
 
-    partition = partition_batch(ybar, K)
-    breakdown = total_comp_loss(Tensor(np.take(predictor, xs, axis=0)), partition)
-    empirical = breakdown.total.item()
+    per_class = total_comp_loss(Tensor(np.take(predictor, xs, axis=0)),
+                                partition_batch(ybar, K))
+    empirical = float(per_class.data.sum())
 
     ce = _ce_table(predictor)
     true_risk, _, _ = exact_unbiasedness(domain, predictor)
@@ -242,9 +246,9 @@ def gradcheck_suite(seed: int = 0) -> dict:
 
     # composite: total complementary loss through softmax
     logits = rng.normal(size=(6, 4))
-    partition = partition_batch(np.array([1, 2, 3, 4, 1, 2]), 4)
+    labels = partition_batch(np.array([1, 2, 3, 4, 1, 2]), 4)
     checks["total_comp_loss"] = (logits,
-                                 lambda t: total_comp_loss(ad.softmax(t), partition).total)
+                                 lambda t: ad.tsum(total_comp_loss(ad.softmax(t), labels)))
 
     # composite: adversarial loss through sigmoid discriminator outputs
     dlogits = rng.normal(size=(5,))

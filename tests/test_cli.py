@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clarinet.cli import main
-from clarinet.data import LabeledDataset, write_csv, write_idx
+from clarinet.data import LabeledDataset, read_csv, write_csv, write_idx
 from clarinet.models import build_triplet, default_specs, save_checkpoint
 
 
@@ -221,6 +221,60 @@ class TestTrain:
             records.append([line.rsplit(",", 1)[0] for line in lines])
         assert len(records[0]) == 1 + 3
         assert records[0] == records[1]
+
+    def test_unlabelled_target_writes_strict_json(self, tmp_path):
+        # no target labels: no accuracy; no hidden source labels: no
+        # pseudo-label noise rate; both are null, never NaN
+        cfg = write_config(tmp_path)
+        prep = tmp_path / "prep"
+        assert main(["prepare", "--config", str(cfg), "--out", str(prep)]) == 0
+        feats, _ = read_csv(prep / "target.csv")
+        write_csv(prep / "target_unlabelled.csv", feats)
+        task = {"type": "prepared", "manifest": str(prep / "manifest.json"),
+                "source_csv": str(prep / "source_comp.csv"),
+                "target_csv": str(prep / "target_unlabelled.csv")}
+        out = tmp_path / "runs"
+        argv = ["train", "--config", str(write_config(tmp_path, task=task)),
+                "--out", str(out), "--variant", "two-step", "--epochs", "2",
+                "--seed", "0", "--seed", "1"]
+        assert main(argv) == 0
+
+        def strict(name):
+            def reject(constant):
+                raise AssertionError("%s holds %s" % (name, constant))
+            return json.loads((out / name).read_text(), parse_constant=reject)
+
+        for seed in (0, 1):
+            summary = strict("two-step_seed%d.json" % seed)
+            assert summary["final_target_acc"] is None
+            assert summary["pseudo_label_noise"] is None
+        agg = strict("two-step_aggregate.json")
+        assert agg["per_seed"] == [None, None]
+        assert agg["final_target_acc_mean"] is None
+        assert agg["final_target_acc_std"] is None
+
+    def test_non_finite_task_number_exits_2(self, tmp_path, capsys):
+        # every summary echoes the task, and strict JSON has no NaN
+        cfg = write_config(tmp_path, task=dict(SMALL_TASK, note=float("nan")))
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: task must hold only finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds, flags, source", [
+        ([0], ["--seed", "1", "--seed", "2", "--seed", "1"], "--seed"),
+        ([1, 1], [], "config key seeds"),
+    ])
+    def test_repeated_seed_exits_2(self, tmp_path, capsys, seeds, flags, source):
+        # a repeated seed would train twice into the same files and count
+        # twice in the aggregate
+        cfg = write_config(tmp_path, seeds=seeds)
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: seed 1 is given 2 times in %s\n" % source
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, gamma1=-1.0)

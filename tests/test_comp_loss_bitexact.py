@@ -1,7 +1,7 @@
 """The complementary risk must equal its plain-NumPy statement bit for bit.
 
 ``reference`` below states in plain NumPy the arithmetic of
-``losses.weighted_ce`` and of the ``tsum`` nodes ``total_comp_loss`` builds
+``losses.weighted_ce`` and of the ``tsum`` nodes the classifier step builds
 on it for the complementary objective: with ``coef = (1 - (K-1)
 onehot(ybar)) / n`` the per-class losses are ``(coef * CE).sum(axis=0)``,
 and an upstream gradient ``g`` of them reaches the probabilities as
@@ -13,6 +13,7 @@ depend on every bit of it, so values and gradients are compared with
 import numpy as np
 import pytest
 
+import clarinet.autodiff as ad
 from clarinet.autodiff import Tape, Tensor
 from clarinet.complabel import partition_batch
 from clarinet.losses import PROB_FLOOR, objective_coefficients, total_comp_loss
@@ -42,19 +43,23 @@ def reference(P, labels, K, objective="complementary"):
 
 
 def run_fused(P, labels, K, objective="complementary"):
-    """The same quantities from ``total_comp_loss`` on a tape."""
-    partition = partition_batch(labels, K)
+    """The same quantities from ``total_comp_loss`` on a tape, reduced and
+    backpropagated as ``train._classifier_step`` does it."""
+    labels = partition_batch(labels, K)
     out = {}
     for target in ("total", "l_neg"):
         tape = Tape()
         probs = Tensor(P, tape=tape)
-        b = total_comp_loss(probs, partition, objective)
-        out.update(per_class=b.per_class_values, total=b.total.item(),
-                   l_neg=b.l_neg.item())
-        node = b.total if target == "total" else b.l_neg
-        if node.tape is tape:
-            tape.backward(node)
-            out["grad_" + target] = probs.grad
+        per_class = total_comp_loss(probs, labels, objective)
+        negative = per_class.data < 0.0
+        out.update(per_class=per_class.data.copy(), total=per_class.data.sum(),
+                   l_neg=(per_class.data * negative).sum() if negative.any() else 0.0)
+        if target == "total":
+            tape.backward(ad.tsum(per_class))
+            out["grad_total"] = probs.grad
+        elif negative.any():
+            tape.backward(ad.tsum(per_class * negative))
+            out["grad_l_neg"] = probs.grad
     return out
 
 
@@ -137,6 +142,6 @@ def test_coefficient_table_equals_the_onehot_form(K, n, objective):
         expected = np.where(onehot, (1.0 - (K - 1.0)) / n, 1.0 / n)
     else:
         expected = np.where(onehot, 1.0 / n, 0.0 / n)
-    coef = objective_coefficients(partition_batch(labels, K), objective)
+    coef = objective_coefficients(labels, K, objective)
     assert coef.shape == expected.shape
     assert np.array_equal(coef.view(np.int64), expected.view(np.int64))

@@ -127,13 +127,12 @@ class TestRecoverPosterior:
 
 class TestPartition:
     def test_labels_are_kept(self):
-        p = partition_batch([1, 1, 3], 3)
-        assert p.K == 3
-        assert np.array_equal(p.labels, [1, 1, 3])
+        labels = partition_batch([1, 1, 3], 3)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, [1, 1, 3])
 
     def test_degenerate_single_class(self):
-        p = partition_batch([2, 2, 2], 4)
-        assert np.array_equal(p.labels, [2, 2, 2])
+        assert np.array_equal(partition_batch([2, 2, 2], 4), [2, 2, 2])
 
     @pytest.mark.parametrize("labels", [[0, 1], [1, 4]])
     def test_out_of_range_label_rejected(self, labels):

@@ -12,6 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
+import clarinet.autodiff as ad
 from clarinet.autodiff import Tape, Tensor
 from clarinet.complabel import partition_batch
 from clarinet.errors import ContractError
@@ -46,25 +47,25 @@ def small_batch():
 def record_step(net, feats, labels):
     tape = Tape()
     f = net.F.forward(tape, net.G.forward(tape, Tensor(feats)))
-    return tape, total_comp_loss(f, partition_batch(labels, 4))
+    return tape, ad.tsum(total_comp_loss(f, partition_batch(labels, 4)))
 
 
 def test_spent_training_tape_is_freed(no_gc):
     net = small_triplet()
     feats, labels = small_batch()
-    tape, breakdown = record_step(net, feats, labels)
-    tape.backward(breakdown.total)
+    tape, total = record_step(net, feats, labels)
+    tape.backward(total)
     assert tape._nodes == []
     ref = weakref.ref(tape)
-    del tape, breakdown
+    del tape, total
     assert ref() is None
 
 
 def test_spent_tape_rejects_a_second_backward():
-    tape, breakdown = record_step(small_triplet(), *small_batch())
-    tape.backward(breakdown.total)
+    tape, total = record_step(small_triplet(), *small_batch())
+    tape.backward(total)
     with pytest.raises(ContractError, match="fresh tape"):
-        tape.backward(breakdown.total)
+        tape.backward(total)
 
 
 def test_predict_leaves_nothing_alive(no_gc):

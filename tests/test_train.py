@@ -13,17 +13,16 @@ import clarinet
 import clarinet.autodiff as ad
 from clarinet.autodiff import Parameter, Tape, Tensor
 from clarinet.complabel import partition_batch
-from clarinet.data import LabeledDataset, SyntheticPairConfig, make_synthetic_pair
+from clarinet.data import (LabeledDataset, SyntheticPairConfig, UnlabeledDataset,
+                           make_synthetic_pair)
 from clarinet.errors import ContractError, NonFiniteValue
 from clarinet.losses import (PROB_FLOOR, adversarial_loss, cross_entropy_to_class,
                              entropy_weight, scatter_map, total_comp_loss)
 from clarinet.models import conditional_feature, predict, pseudo_label
-from clarinet.train import (TrainConfig, evaluate, lambda_schedule, sgd_step,
-                            train_clarinet, train_gac, train_two_step,
-                            write_metrics_csv, _adversarial_step,
-                            _classifier_step, _fresh_triplet)
+from clarinet.train import (VARIANTS, TrainConfig, evaluate, lambda_schedule,
+                            sgd_step, train_clarinet, write_metrics_csv,
+                            _adversarial_step, _classifier_step, _fresh_triplet)
 from clarinet.cli import build_parser
-from clarinet.train import VARIANTS, train_variant
 
 
 def synthetic_task(seed=0, n=400, spread=0.35):
@@ -147,7 +146,8 @@ class TestAlgorithmMechanics:
     def test_ascent_baseline_equals_gated_adversarial_bit_exactly(self):
         source, tgt = synthetic_task()
         config = small_config(t_max=4, t_s=4)
-        plain = train_gac(source, config, eval_data=tgt)
+        plain = train_clarinet(source, None, dataclasses.replace(config, variant="gac"),
+                               eval_data=tgt)
         gated = train_clarinet(source, tgt.unlabeled(), config, eval_data=tgt)
         for a, b in zip(plain.model.classifier_params, gated.model.classifier_params):
             assert np.array_equal(a.value, b.value)
@@ -165,10 +165,13 @@ class TestAlgorithmMechanics:
         fired = 0
         for _ in range(150):
             probs = Tensor(predict(triplet, feats))
-            breakdown = total_comp_loss(probs, partition_batch(labels, 4))
-            expect_ascent = breakdown.min_class < 0.0
-            _, _, ascended = _classifier_step(triplet, feats, labels, config)
+            per_class = total_comp_loss(probs, partition_batch(labels, 4)).data
+            expect_ascent = per_class.min() < 0.0
+            _, l_neg, ascended = _classifier_step(triplet, feats, labels, config)
             assert ascended == expect_ascent
+            # the reported negative part sums the negative classes, 0.0 if none
+            assert l_neg == pytest.approx(per_class[per_class < 0.0].sum(),
+                                          rel=1e-12, abs=0.0)
             fired += int(ascended)
         assert fired > 0  # this fixture saturates into the negative regime
 
@@ -184,15 +187,18 @@ class TestAlgorithmMechanics:
 
         tape = Tape()
         f = twin.F.forward(tape, twin.G.forward(tape, Tensor(feats)))
-        breakdown = total_comp_loss(f, partition_batch(labels, 4))
+        per_class = total_comp_loss(f, partition_batch(labels, 4))
         for p in twin.classifier_params:
             p.zero_grad()
-        descend = breakdown.min_class >= 0.0
-        tape.backward(breakdown.total if descend else breakdown.l_neg)
+        negative = per_class.data < 0.0
+        descend = not negative.any()
+        tape.backward(ad.tsum(per_class if descend else per_class * negative))
         sign = -1.0 if descend else 1.0
 
         d_before = [p.value.copy() for p in triplet.discriminator_params]
-        _classifier_step(triplet, feats, labels, config)
+        loss, l_neg, _ = _classifier_step(triplet, feats, labels, config)
+        assert loss == per_class.data.sum()
+        assert l_neg == per_class.data[negative].sum()
         for p, twin_p in zip(triplet.classifier_params, twin.classifier_params):
             expected = twin_p.value + sign * config.gamma1 * twin_p.grad
             assert np.allclose(p.value, expected, atol=1e-12)
@@ -249,16 +255,15 @@ class TestAlgorithmMechanics:
 
     def test_nonfinite_abort_names_epoch(self):
         source, tgt = synthetic_task(n=64)
+        source.features[0, 0] = np.nan     # every batch of 64 holds row 0
         config = small_config(batch_size=64)
-        triplet = _fresh_triplet(2, config)
-        triplet.G.weights[0].value[0, 0] = np.nan
-        with pytest.raises(NonFiniteValue, match="epoch"):
-            train_clarinet(source, tgt.unlabeled(), config, triplet=triplet)
+        with pytest.raises(NonFiniteValue, match="epoch 1 iteration 0"):
+            train_clarinet(source, tgt.unlabeled(), config)
 
     def test_config_k_mismatch(self):
         source, tgt = synthetic_task()
         with pytest.raises(ContractError, match="K"):
-            train_gac(source, small_config(K=5))
+            train_clarinet(source, None, small_config(K=5, variant="gac"))
 
     def test_invalid_config_values(self):
         with pytest.raises(ContractError):
@@ -297,7 +302,7 @@ class TestCrossEntropyObjective:
         triplet.F.weights[-1].value *= 400.0    # saturates the softmax
 
         def node(probs, labels):
-            return total_comp_loss(probs, partition_batch(labels, K), "ce").total
+            return ad.tsum(total_comp_loss(probs, partition_batch(labels, K), "ce"))
 
         runs = {}
         for name, loss_of in (("chain", per_class_ce_chain), ("node", node)):
@@ -374,8 +379,8 @@ class TestNegativeRiskCorrection:
         source = src.to_complementary(np.random.default_rng(3))
         config = TrainConfig(K=4, t_max=80, t_s=80, gamma1=0.1, batch_size=40,
                              seed=3, hidden=32, d_g=16, momentum=0.9,
-                             correction_enabled=correction)
-        return train_gac(source, config)
+                             variant="gac", correction_enabled=correction)
+        return train_clarinet(source, None, config)
 
     def test_correction_keeps_loss_bounded(self):
         result = self.overfit_fixture(correction=True)
@@ -390,15 +395,16 @@ class TestNegativeRiskCorrection:
 class TestTwoStep:
     def test_stage_two_labels_are_stage_one_argmax(self):
         source, tgt = synthetic_task(n=200)
-        result = train_two_step(source, tgt.unlabeled(),
-                                small_config(t_max=3, t_s=1), eval_data=tgt)
+        result = train_clarinet(source, tgt.unlabeled(),
+                                small_config(t_max=3, t_s=1, variant="two-step"),
+                                eval_data=tgt)
         recomputed = pseudo_label(result.extras["stage1_model"], source.features)
         assert np.array_equal(result.extras["pseudo_labels"], recomputed)
 
     def test_noise_rate_reported(self):
         source, tgt = synthetic_task(n=200)
-        result = train_two_step(source, tgt.unlabeled(),
-                                small_config(t_max=3, t_s=1))
+        result = train_clarinet(source, tgt.unlabeled(),
+                                small_config(t_max=3, t_s=1, variant="two-step"))
         noise = result.extras["pseudo_label_noise"]
         assert 0.0 <= noise <= 1.0
         manual = np.mean(result.extras["pseudo_labels"]
@@ -435,10 +441,13 @@ def run_fingerprint(result):
 
 class TestVariantTable:
     def run(self, variant, config_variant=None, **kw):
+        """A run of ``variant``, set with ``replace`` over a config made for
+        ``config_variant``, as a caller switches the variant of a config."""
         source, tgt = synthetic_task(n=200)
         config = small_config(t_max=4, t_s=1, variant=config_variant or variant, **kw)
-        return run_fingerprint(train_variant(variant, source, tgt.unlabeled(), config,
-                                             eval_data=tgt))
+        config = dataclasses.replace(config, variant=variant)
+        return run_fingerprint(train_clarinet(source, tgt.unlabeled(), config,
+                                              eval_data=tgt))
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_argument_decides_over_config_variant(self, variant):
@@ -451,18 +460,35 @@ class TestVariantTable:
         assert self.run("ablation-no-t", l=0.5) == self.run("clarinet", l=1.0)
 
     def test_baselines_set_their_own_variant(self):
+        # two-step's first stage is the gac run of the same config
         source, tgt = synthetic_task(n=200)
-        for make in (lambda c: train_gac(source, c),
-                     lambda c: train_two_step(source, tgt.unlabeled(), c)):
-            runs = [run_fingerprint(make(small_config(t_max=4, t_s=1, variant=v)))
-                    for v in ("clarinet", "ablation-ce")]
-            assert runs[0] == runs[1]
+        config = small_config(t_max=4, t_s=1)
+        two_step = train_clarinet(source, tgt.unlabeled(),
+                                  dataclasses.replace(config, variant="two-step"))
+        gac = train_clarinet(source, None, dataclasses.replace(config, variant="gac"))
+        stage1 = two_step.extras["stage1_model"]
+        for a, b in zip(stage1.classifier_params, gac.model.classifier_params):
+            assert np.array_equal(a.value, b.value)
+        assert np.array_equal(two_step.extras["pseudo_labels"],
+                              pseudo_label(gac.model, source.features))
+        assert set(two_step.extras) == {"stage1_model", "pseudo_labels",
+                                        "pseudo_label_noise"}
 
-    @pytest.mark.parametrize("variant", ["gac", "two-step"])
-    def test_one_step_trainer_needs_a_conditional_adversary(self, variant):
-        source, tgt = synthetic_task(n=64)
-        with pytest.raises(ContractError, match="train_clarinet got variant"):
-            train_clarinet(source, tgt.unlabeled(), small_config(variant=variant))
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "gac"])
+    def test_adversarial_variant_needs_target_data(self, variant):
+        source, _ = synthetic_task(n=64)
+        with pytest.raises(ContractError,
+                           match="variant %r needs target data, got None" % variant):
+            train_clarinet(source, None, small_config(variant=variant))
+
+    def test_gac_ignores_its_target(self):
+        source, tgt = synthetic_task(n=200)
+        config = small_config(t_max=3, t_s=1, variant="gac")
+        # a target smaller than the source would shorten an adversarial epoch
+        small_target = UnlabeledDataset(tgt.features[:64])
+        runs = [run_fingerprint(train_clarinet(source, target, config))
+                for target in (None, small_target)]
+        assert runs[0] == runs[1]
 
     def test_cli_choices_are_the_table(self):
         sub = next(a for a in build_parser()._actions

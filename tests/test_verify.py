@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,21 @@ class TestNonFiniteInputs:
             exact_unbiasedness(domain, predictor)
         with pytest.raises(ContractError, match="predictor"):
             monte_carlo_unbiasedness(domain, predictor, 1000, seed=0)
+
+
+# a 3-point, 2-class domain against predictors of other shapes: one row,
+# a 1-D row, too many classes, and one point too few
+@pytest.mark.parametrize("predictor", [[[0.3, 0.7]], [0.3, 0.7],
+                                       [[0.2, 0.3, 0.5]] * 3, [[0.3, 0.7]] * 2])
+def test_predictor_of_another_shape_rejected(predictor):
+    domain = DiscreteDomain(posteriors=[[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]],
+                            weights=[0.2, 0.3, 0.5])
+    message = re.escape("predictor has shape %s, the domain's is (3, 2)"
+                        % (np.shape(predictor),))
+    with pytest.raises(ContractError, match=message):
+        exact_unbiasedness(domain, predictor)
+    with pytest.raises(ContractError, match=message):
+        monte_carlo_unbiasedness(domain, predictor, 1000, seed=0)
 
 
 def argmax_labels(posteriors, xs, u, offsets):

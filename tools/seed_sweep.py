@@ -3,10 +3,10 @@ range of training seeds.
 
     python3 tools/seed_sweep.py --first 0 --last 49
 
-Trains each variant in ``train.VARIANTS`` through ``train.train_variant``
-with the synth-k4 workload's data, rates and architecture
-(``perfbench/run.py``) once per training seed, with the checkout's own
-``src/``.  Training seed s draws its complementary labels from
+Trains each variant in ``train.VARIANTS`` through ``train.train_clarinet``,
+on ``replace(config, variant=...)`` of a config with the synth-k4 workload's
+rates and architecture (``perfbench/run.py``), on that workload's data, once
+per training seed, with the checkout's own ``src/``.  Training seed s draws its complementary labels from
 ``default_rng([s, 7])``, as the benchmark and the acceptance criteria do.
 Per variant and seed it prints the final ``target_acc``, the final
 ``adv_loss`` and the record digest (the benchmark's, over every record field
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +57,11 @@ def main(argv=None):
         accs = {}
         print("%s\nseed  target_acc  adv_loss               digest" % variant)
         for s in seeds:
-            config = train.TrainConfig(seed=s, **bench.SYNTH_TRAIN)
+            config = replace(train.TrainConfig(seed=s, **bench.SYNTH_TRAIN),
+                             variant=variant)
             source = src.to_complementary(np.random.default_rng([s, 7]))
-            records = train.train_variant(variant, source, tgt.unlabeled(), config,
-                                          eval_data=tgt).records
+            records = train.train_clarinet(source, tgt.unlabeled(), config,
+                                           eval_data=tgt).records
             accs[s] = records[-1].target_acc
             print("%4d  %.4f      %-21.17g  %s" % (s, accs[s], records[-1].adv_loss,
                                                  bench.records_digest(records)), flush=True)
