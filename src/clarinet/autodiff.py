@@ -30,6 +30,7 @@ Gradient contract:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -177,12 +178,14 @@ def hold_heap():
     time a run.  glibc raises its mmap threshold to the size of a freed
     mmapped block, and its trim threshold to twice that, so freeing one
     16 MB block keeps up to 32 MB of free heap from then on.  The largest
-    working set is the Monte-Carlo oracle's 100k x 4 batch: ``weighted_ce``
-    holds four such float64 arrays at once, about 13 MB.  Per warm
-    ``verify all`` call, no hold left about 4300 minor faults, a 4 MB block
-    (8 MB kept) about 2300, an 8 MB block about 2700, and a 12 or 16 MB block
-    3-4.  glibc's adaptive thresholds otherwise work as before (``mallopt``
-    would switch them off), and no value changes.
+    working set is the Monte-Carlo oracle's 100k x 4 batch: while
+    ``weighted_ce`` scores it, four such float64 arrays (the batch, its
+    coefficients, the clipped batch and its -log) and two 100k-entry int64
+    vectors (the points and the labels) are live, 14.4 MB as tracemalloc
+    counts it.  Per warm ``verify all`` call (median of 20, NumPy 2.4.6),
+    no hold or a 4 MB block (8 MB kept) left about 3840 minor faults, and
+    an 8 or 16 MB block 1 (0-8).  glibc's adaptive thresholds otherwise
+    work as before (``mallopt`` would switch them off), and no value changes.
     """
     np.empty(16 << 20, dtype=np.uint8)
 
@@ -197,18 +200,26 @@ def _coerce(*operands):
     Returns the operands as tensors followed by the tape (None when every
     operand is a constant).
     """
-    tensors = [x if isinstance(x, Tensor) else Tensor(x) for x in operands]
+    out = []
     tape = None
-    for t in tensors:
-        if t.tape is not None:
-            if tape is not None and t.tape is not tape:
+    for x in operands:
+        if not isinstance(x, Tensor):
+            x = Tensor(x)
+        elif x.tape is not None:
+            if tape is not None and x.tape is not tape:
                 raise ContractError("operands recorded on different tapes")
-            tape = t.tape
-    return (*tensors, tape)
+            tape = x.tape
+        out.append(x)
+    out.append(tape)
+    return out
 
 
 def _check_finite(name, data):
-    if not np.isfinite(data).all():
+    """``data``, unless an entry is NaN or infinite.  A 0-d result is tested
+    as one Python float, and an array through the ufunc reduction that
+    ``ndarray.all`` wraps, without its Python-level dispatch."""
+    if not (math.isfinite(data) if data.ndim == 0 else
+            np.logical_and.reduce(np.isfinite(data), axis=None)):
         raise NonFiniteValue("%s produced a non-finite value" % name)
     return data
 
@@ -485,7 +496,8 @@ def tsum(x, axis=None, keepdims=False):
             gg = g if keepdims else np.expand_dims(g, axis)
             x._accumulate(np.broadcast_to(gg, x.shape).copy())
 
-    return _make("sum", x.data.sum(axis=axis, keepdims=keepdims), tape, backward)
+    # the ufunc that ndarray.sum wraps, the same reduction
+    return _make("sum", np.add.reduce(x.data, axis=axis, keepdims=keepdims), tape, backward)
 
 
 def tmean(x, axis=None, keepdims=False):

@@ -96,15 +96,25 @@ _FILE_FIELDS = {
 
 
 def _require_task(task):
-    """The config's task must be an object, and the file fields of an ``idx``
+    """The config's task must be an object; the file fields of an ``idx``
     or ``prepared`` task must each be a non-empty string (an integer would be
-    opened as a file descriptor)."""
+    opened as a file descriptor), and the fields of a ``synthetic`` task must
+    be valid generator fields.  The manifest and the run summaries echo the
+    task, also its keys that nothing reads, so it must hold only finite
+    numbers: strict JSON has no NaN."""
     if not isinstance(task, dict):
         raise ContractError("config needs a 'task' object, got %r" % (task,))
     for name in _FILE_FIELDS.get(task.get("type"), ()):
         value = task.get(name)
         if not (isinstance(value, str) and value):
             raise ContractError("task.%s must be a non-empty string, got %r" % (name, value))
+    if task.get("type") == "synthetic":
+        # a non-finite generator field is named by its own message
+        _synthetic_config(task)
+    try:
+        json.dumps(task, allow_nan=False)
+    except ValueError:
+        raise ContractError("task must hold only finite numbers, got %r" % (task,)) from None
 
 
 def _is_int(value):
@@ -253,8 +263,7 @@ def cmd_prepare(args):
         "hidden_labels": {"file": "source_hidden_labels.csv",
                           "evaluation_only": True},
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    _write_json(out / "manifest.json", manifest)
     print("prepared %d source and %d target samples in %s" % (len(source), len(tgt), out))
     return 0
 
@@ -276,11 +285,6 @@ def cmd_train(args):
     per_seed = []
     for seed in resolved["seeds"]:
         source, target, eval_data = _load_task(task, seed)
-        # the summaries echo the task, also its keys that nothing reads
-        try:
-            json.dumps(task, allow_nan=False)
-        except ValueError:
-            raise ContractError("task must hold only finite numbers, got %r" % (task,)) from None
         resolved["K"] = source.K
         tc = _train_config(resolved, seed)
         out.mkdir(parents=True, exist_ok=True)

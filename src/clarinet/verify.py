@@ -108,24 +108,49 @@ def _complementary_labels(posteriors, xs, u, offsets) -> np.ndarray:
     return offsets
 
 
+def _draw_points(rng, weights, n) -> np.ndarray:
+    """``n`` points drawn with probabilities ``weights``, as
+    ``rng.choice(len(weights), n, p=weights)`` draws them: one uniform u per
+    point from ``rng.random(n)``, read against ``cdf``, the running sum of
+    the weights over its last entry.  Each point is the number of ``cdf``
+    entries <= u, which is ``cdf.searchsorted(u, side="right")``, formed by
+    one compare-and-add pass per entry.  The last entry is 1 and u < 1, so
+    it never counts and gets no pass.  The uniforms are freed on return.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    xs = np.zeros(n, dtype=np.int64)
+    for edge in cdf[:-1]:
+        xs += u >= edge
+    return xs
+
+
 def monte_carlo_unbiasedness(domain: DiscreteDomain, predictor: np.ndarray,
                              n_samples: int, seed: int):
     """Sample complementary labels, score the sample as one batch, and report
     the standardized deviation from the enumerated true risk.
 
-    ``default_rng(seed)`` draws, in this order: the points
-    ``choice(m, n_samples, p=weights)``, one uniform per draw for its true
-    label, and the offsets ``integers(1, K, n_samples)`` that take each true
-    label to a uniform complementary one (``_complementary_labels``).
+    ``default_rng(seed)`` draws, in this order: one uniform per point, read
+    against the weights' cumulative distribution (``_draw_points``, the
+    inverse-CDF draw of ``choice(m, n_samples, p=weights)``), one uniform
+    per point for its true label, and the offsets ``integers(1, K,
+    n_samples)`` that take each true label to a uniform complementary one
+    (``_complementary_labels``).  Weights must not be negative: the domain
+    admits entries down to -1e-12, which would make the distribution dip.
     """
     if n_samples < 1000:
         raise ContractError("monte_carlo_unbiasedness needs n >= 1000")
     predictor = _simplex_rows(predictor, domain)
+    if (domain.weights < 0).any():
+        raise ContractError("monte_carlo_unbiasedness needs non-negative weights, got %s"
+                            % (domain.weights,))
     rng = np.random.default_rng(seed)
     K = domain.K
-    xs = rng.choice(domain.m, size=n_samples, p=domain.weights)
-    u = rng.random(n_samples)
-    ybar = _complementary_labels(domain.posteriors, xs, u,
+    xs = _draw_points(rng, domain.weights, n_samples)
+    # the arguments are drawn left to right; the uniforms are freed before
+    # the batch is scored
+    ybar = _complementary_labels(domain.posteriors, xs, rng.random(n_samples),
                                  rng.integers(1, K, size=n_samples))
 
     per_class = total_comp_loss(Tensor(np.take(predictor, xs, axis=0)),

@@ -49,6 +49,40 @@ class TestForward:
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
 
 
+class TestFiniteCheck:
+    """Every node checks its result: a 0-d result as one float, an array
+    through a reduction over all its entries."""
+
+    @pytest.mark.parametrize("op, name", [(ad.tsum, "sum"), (ad.tmean, "mean")])
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_scalar_result(self, op, name):
+        with pytest.raises(NonFiniteValue, match="^%s produced a non-finite value$" % name):
+            op(Tensor([1e308, 1e308]))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_array_result(self):
+        # one entry of the array overflows, the others stay finite
+        with pytest.raises(NonFiniteValue, match="^mul produced a non-finite value$"):
+            ad.mul(Tensor([[1.0, 1e308], [2.0, 3.0]]), 10.0)
+
+    @pytest.mark.parametrize("data", [np.nan, [[1.0, np.nan], [0.5, 2.0]]])
+    @pytest.mark.parametrize("op, name", [
+        (lambda x: ad.add(x, 1.0), "add"),
+        (lambda x: ad.mul(x, 2.0), "mul"),
+        (ad.relu, "relu"),
+        (ad.tsum, "sum"),
+        (ad.tmean, "mean"),
+    ])
+    def test_nan_input_names_the_op(self, data, op, name):
+        with pytest.raises(NonFiniteValue, match="^%s produced a non-finite value$" % name):
+            op(Tensor(data))
+
+    @pytest.mark.parametrize("data", [2.5, [[1.0, -0.0], [1e308, -1e308]]])
+    def test_finite_results_pass_unchanged(self, data):
+        assert np.array_equal(ad.mul(Tensor(data), 1.0).data, data)
+        assert ad.tsum(Tensor(data)).item() == np.sum(data)
+
+
 class TestBackward:
     def test_square_derivative(self):
         g = scalar_grad(lambda x: x * x, np.array(3.0))

@@ -90,6 +90,15 @@ class TestPrepare:
         assert "config needs a 'task' object" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_task_number_exits_2(self, tmp_path, capsys, value):
+        # the manifest echoes the task, and strict JSON has no NaN
+        cfg = write_config(tmp_path, task=dict(SMALL_TASK, note=value))
+        out = tmp_path / "prepared"
+        assert main(["prepare", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: task must hold only finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["prepare", "verify"])
     def test_non_integer_env_seed_exits_2(self, tmp_path, capsys, monkeypatch, verb):
         monkeypatch.setenv("CLARINET_SEED", "seven")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import clarinet.verify as verify_mod
 from clarinet.errors import ContractError
-from clarinet.verify import (DiscreteDomain, _complementary_labels, exact_unbiasedness,
-                             finite_difference, gradcheck_suite,
+from clarinet.verify import (DiscreteDomain, _complementary_labels, _draw_points,
+                             exact_unbiasedness, finite_difference, gradcheck_suite,
                              monte_carlo_unbiasedness, relative_error,
                              report_json, run_suite)
 
@@ -168,6 +168,58 @@ class TestComplementaryLabels:
         assert np.array_equal(_complementary_labels(posteriors, xs, u, offsets), expected)
 
 
+class TestDrawPoints:
+    @pytest.mark.parametrize("weights", [
+        [1.0],
+        [0.5, 0.5],
+        [0.2, 0.3, 0.5],
+        # zero weights, first, inner and last
+        [0.0, 0.25, 0.0, 0.75, 0.0],
+        [0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0],
+        # a running sum that ends just below 1
+        [0.25, 0.25, 0.25, 0.25 - 8e-13],
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_equals_choice_and_leaves_the_stream_as_choice_does(self, weights, seed):
+        weights = np.array(weights)
+        expected_rng = np.random.default_rng(seed)
+        expected = expected_rng.choice(len(weights), 5000, p=weights)
+        rng = np.random.default_rng(seed)
+        points = _draw_points(rng, weights, 5000)
+        assert points.dtype == expected.dtype
+        assert np.array_equal(points, expected)
+        # the draws that follow are those that follow choice
+        assert np.array_equal(rng.random(100), expected_rng.random(100))
+        assert np.array_equal(rng.integers(1, 4, size=100),
+                              expected_rng.integers(1, 4, size=100))
+
+    def test_a_uniform_on_an_entry_counts_it(self):
+        # choice reads cdf.searchsorted(u, side="right"), so an entry equal
+        # to u counts, and a run of equal entries counts whole
+        weights = np.array([0.25, 0.0, 0.25, 0.5])
+        u = np.array([0.0, np.nextafter(0.25, 0.0), 0.25, 0.5, np.nextafter(0.5, 1.0),
+                      np.nextafter(1.0, 0.0)])
+
+        class FixedUniforms:
+            def random(self, n):
+                assert n == len(u)
+                return u.copy()
+
+        assert np.array_equal(_draw_points(FixedUniforms(), weights, len(u)),
+                              [0, 0, 2, 3, 3, 3])
+
+    def test_equals_choice_on_random_weights(self):
+        for m in (1, 2, 8, 29, 200):
+            w = np.random.default_rng(m).dirichlet(np.full(m, 0.3))
+            if m > 1:
+                w[::3] = 0.0
+                w /= w.sum()
+            for seed in range(5):
+                assert np.array_equal(_draw_points(np.random.default_rng(seed), w, 20_000),
+                                      np.random.default_rng(seed).choice(m, 20_000, p=w))
+
+
 class TestMonteCarlo:
     # (empirical, true risk, z) from the argmax label draw and the fancy
     # gathers the oracle used before its table gathers, bit for bit
@@ -217,6 +269,18 @@ class TestMonteCarlo:
         ratio = observed_se(2000) / observed_se(8000)
         assert ratio == pytest.approx(2.0, rel=0.35)
 
+    def test_negative_weight_rejected_before_any_draw(self, monkeypatch):
+        # the domain admits weights down to -1e-12, which no draw may read
+        domain = DiscreteDomain(posteriors=np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]),
+                                weights=np.array([0.5 + 1e-13, -1e-13, 0.5]))
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(verify_mod.np.random, "default_rng", no_draws)
+        with pytest.raises(ContractError, match=r"non-negative weights, got \[.*-1\.?e-13"):
+            monte_carlo_unbiasedness(domain, np.full((3, 2), 0.5), 1000, seed=0)
+
     def test_small_sample_rejected(self):
         domain = DiscreteDomain(posteriors=np.array([[0.5, 0.5]]),
                                 weights=np.array([1.0]))
@@ -246,6 +310,68 @@ class TestGradcheckSuite:
         assert len(report) >= 18
         for name, err in report.items():
             assert err < 1e-4, name
+
+    # every entry at seeds 0 and 1, as the per-op tape computed them before
+    # its bookkeeping was trimmed; any change to an op's arithmetic shows here
+    PINNED = {
+        0: {
+            "add": "0x1.4d003ffff6a16p-35",
+            "sub": "0x1.c03fffff9de40p-35",
+            "mul": "0x1.4a9ee13311f05p-38",
+            "div": "0x1.14ff07199facap-32",
+            "matmul": "0x1.eab7e49419901p-37",
+            "matmul_bias_x": "0x1.0c5bc81492cb9p-37",
+            "matmul_bias_w": "0x1.9704226ffa28fp-38",
+            "matmul_bias_b": "0x1.20243a0ed4330p-37",
+            "relu": "0x1.13607ffff8407p-36",
+            "sigmoid": "0x1.0f85bb6a6c5c3p-35",
+            "softmax": "0x1.0c63184ded4a2p-34",
+            "log": "0x1.de8177c480743p-34",
+            "pow": "0x1.78a0cc535b0ffp-35",
+            "mean": "0x1.9e9f1c7604fd5p-38",
+            "take_rows": "0x1.7c593b13ac1c0p-38",
+            "column": "0x1.ccfd5555485cdp-38",
+            "outer_flatten": "0x1.10884e4b8312cp-36",
+            "fanout_two_consumers": "0x1.0c0e80fac67dcp-36",
+            "scatter_map_l0.5": "0x1.a12c31e7a05fep-32",
+            "total_comp_loss": "0x1.4f248b7049da7p-34",
+            "adversarial_loss": "0x1.f4c5895ecc3cfp-35",
+            "network_softmax": "0x1.1ef71f52f05c3p-34",
+            "network_sigmoid": "0x1.2cce9477b7a76p-35",
+            "grad_reverse_exact": "0x0.0p+0",
+        },
+        1: {
+            "add": "0x1.13607ffff8407p-36",
+            "sub": "0x1.4d003ffff6a16p-35",
+            "mul": "0x1.b5f30703402d0p-38",
+            "div": "0x1.876f411dd4588p-32",
+            "matmul": "0x1.ee1e83fe4be2fp-37",
+            "matmul_bias_x": "0x1.3e43b7ba8a6a3p-36",
+            "matmul_bias_w": "0x1.e63c930b19b8dp-36",
+            "matmul_bias_b": "0x1.d10464c074e29p-36",
+            "relu": "0x1.4d003ffff6a16p-35",
+            "sigmoid": "0x1.19c7d4169f594p-35",
+            "softmax": "0x1.df0a6ea8e39abp-36",
+            "log": "0x1.f0b721bee70a4p-34",
+            "pow": "0x1.2b3870a36efc9p-35",
+            "mean": "0x1.968a7734d0393p-38",
+            "take_rows": "0x1.63a24ec4cd6e1p-36",
+            "column": "0x1.2256aaaaa27f6p-37",
+            "outer_flatten": "0x1.11e10365fdda0p-37",
+            "fanout_two_consumers": "0x1.a31da47d582c6p-35",
+            "scatter_map_l0.5": "0x1.8d3e384fabdacp-32",
+            "total_comp_loss": "0x1.0a258f3bc8fccp-33",
+            "adversarial_loss": "0x1.4298c3814b4eap-35",
+            "network_softmax": "0x1.0642e7c75d1f7p-35",
+            "network_sigmoid": "0x1.60e9d0f9a217bp-37",
+            "grad_reverse_exact": "0x0.0p+0",
+        },
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pinned(self, seed):
+        report = gradcheck_suite(seed=seed)
+        assert {name: float.hex(err) for name, err in report.items()} == self.PINNED[seed]
 
     def test_detects_a_corrupted_gradient(self, monkeypatch):
         # break one backward rule; the audit must catch it
