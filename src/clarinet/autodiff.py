@@ -179,13 +179,14 @@ def hold_heap():
     mmapped block, and its trim threshold to twice that, so freeing one
     16 MB block keeps up to 32 MB of free heap from then on.  The largest
     working set is the Monte-Carlo oracle's 100k x 4 batch: while
-    ``weighted_ce`` scores it, four such float64 arrays (the batch, its
-    coefficients, the clipped batch and its -log) and two 100k-entry int64
-    vectors (the points and the labels) are live, 14.4 MB as tracemalloc
-    counts it.  Per warm ``verify all`` call (median of 20, NumPy 2.4.6),
-    no hold or a 4 MB block (8 MB kept) left about 3840 minor faults, and
-    an 8 or 16 MB block 1 (0-8).  glibc's adaptive thresholds otherwise
-    work as before (``mallopt`` would switch them off), and no value changes.
+    ``weighted_ce`` scores it, two such float64 arrays (the batch and its
+    one cross-entropy buffer), one block of gathered coefficients and two
+    100k-entry int64 vectors (the points and the labels) are live, 8.5 MB
+    as tracemalloc counts it.  Per warm ``verify all`` call (median of 20,
+    NumPy 2.4.6), no hold left about 1530 minor faults, a 4 MB block (8 MB
+    kept) about 2280, and an 8 or 16 MB block 1 (0-7).  glibc's adaptive
+    thresholds otherwise work as before (``mallopt`` would switch them
+    off), and no value changes.
     """
     np.empty(16 << 20, dtype=np.uint8)
 

@@ -205,6 +205,10 @@ def _labelled_pair(task, seed):
     elif kind == "idx":
         src = load_idx(task["source_images"], task["source_labels"], name="idx-source")
         tgt = load_idx(task["target_images"], task["target_labels"], name="idx-target")
+        if src.K != tgt.K:
+            raise ContractError("idx source and target disagree on K: the source "
+                                "labels give K=%d, the target labels K=%d"
+                                % (src.K, tgt.K))
     else:
         raise ContractError("unknown task type %r; prepare takes synthetic or idx, "
                             "train also prepared" % (kind,))

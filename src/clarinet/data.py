@@ -129,17 +129,31 @@ def load_idx(images_path, labels_path, name: str = "") -> LabeledDataset:
 
 
 def write_idx(images_path, labels_path, dataset: LabeledDataset, rows: int, cols: int):
-    """Write a dataset back to the IDX pair (inverse of load_idx's scaling)."""
+    """Write a dataset back to the IDX pair (inverse of load_idx's scaling).
+
+    Each pixel is ``clip(rint(x * 255), 0, 255)``, formed in one buffer.
+    Labels outside 1..256, which one byte cannot hold, and features that
+    are NaN or infinite are a ContractError, never wrapped or zeroed.
+    """
     n, d = dataset.features.shape
     if d != rows * cols:
         raise ContractError("feature width %d != rows*cols %d" % (d, rows * cols))
-    pixels = np.clip(np.rint(dataset.features * 255.0), 0, 255).astype(np.uint8)
+    labels = dataset.labels
+    if labels.min() < 1 or labels.max() > 256:
+        raise ContractError("dataset %r: IDX labels must be in 1..256, got %d..%d"
+                            % (dataset.name, labels.min(), labels.max()))
+    if not np.logical_and.reduce(np.isfinite(dataset.features), axis=None):
+        raise ContractError("dataset %r: IDX features must be finite, got a NaN "
+                            "or infinite value" % dataset.name)
+    pixels = dataset.features * 255.0
+    np.rint(pixels, out=pixels)
+    np.clip(pixels, 0, 255, out=pixels)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(pixels.tobytes())
+        fh.write(pixels.astype(np.uint8).tobytes())
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        fh.write((dataset.labels - 1).astype(np.uint8).tobytes())
+        fh.write((labels - 1).astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +223,10 @@ def _bad_row(path, rows) -> str:
 
 def read_csv(path):
     """Features and integer labels (None without a label column); a value
-    that is not a number, a row of another width than the others or the
-    header, or a label that is not a whole number is a FormatError, never
-    truncated.  A file with no data rows gives empty arrays, without NumPy's
-    no-data warning."""
+    that is not a number, a feature that is NaN or infinite, a row of
+    another width than the others or the header, or a label that is not a
+    whole number is a FormatError, never truncated.  A file with no data
+    rows gives empty arrays, without NumPy's no-data warning."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line for line in fh if line.strip()]
@@ -224,15 +238,22 @@ def read_csv(path):
     if body.shape[1] != len(header):
         raise FormatError("%s: data rows have %d values, the header names %d columns"
                           % (path, body.shape[1], len(header)))
-    if header[-1] == "label":
+    labelled = header[-1] == "label"
+    features = body[:, :-1] if labelled else body
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0]
+        raise FormatError("%s: data row %d, column %d: %r is not a finite number"
+                          % (path, row + 1, col + 1, float(features[row, col])))
+    if labelled:
         labels = body[:, -1]
         bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.trunc(labels))))
         if bad.size:
             row = bad[0]
             raise FormatError("%s: data row %d has non-integer label %r"
                               % (path, row + 1, float(labels[row])))
-        return body[:, :-1], labels.astype(np.int64)
-    return body, None
+        return features, labels.astype(np.int64)
+    return features, None
 
 
 # ---------------------------------------------------------------------------

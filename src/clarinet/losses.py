@@ -12,6 +12,8 @@ from .autodiff import Tensor
 from .errors import ContractError, ShapeMismatch
 
 PROB_FLOOR = 1e-12
+# rows of weighted_ce coefficients gathered at a time
+BLOCK_ROWS = 8192
 
 
 def cross_entropy_to_class(probs: Tensor, k: int) -> Tensor:
@@ -20,53 +22,67 @@ def cross_entropy_to_class(probs: Tensor, k: int) -> Tensor:
     return -ad.log(p)
 
 
-def weighted_ce(probs: Tensor, coef: np.ndarray) -> Tensor:
+def weighted_ce(probs: Tensor, labels: np.ndarray, table: np.ndarray) -> Tensor:
     """Per-class weighted cross-entropy as one tape node.
 
-    With CE(p, k) = -log clip(p_k, PROB_FLOOR, 1), entry k is the weighted
-    column sum ``(coef * CE).sum(axis=0)[k]``, formed as
-    ``einsum("nk,nk->k", coef, CE)``: each column's products are added in
-    row order into a zeroed entry, as the axis-0 sum adds them, so the bits
-    are equal; the axis-0 sum of a narrow array goes one short row at a
-    time, and is the slower.  The backward pass gives
-    d/dprobs directly, ``g * coef / -clip(P) * inside`` with ``inside`` the
-    clip's mask.
+    With CE(p, k) = -log clip(p_k, PROB_FLOOR, 1) and ``coef`` the n x K
+    rows of the (K+1) x K ``table`` gathered at the 1-based ``labels``,
+    entry k is the weighted column sum ``(coef * CE).sum(axis=0)[k]``.
+
+    Order contract: the forward forms CE in one n x K buffer (``np.clip``,
+    then ``np.log`` and ``np.negative`` in place), multiplies it in place by
+    ``coef``, gathered ``BLOCK_ROWS`` rows at a time so no n x K coefficient
+    array is alive, and sums it by ``einsum("nk->k")``: each column's
+    products are added in row order into an entry that starts at +0.0, as
+    the axis-0 sum adds them, so the bits are equal; the axis-0 sum of a
+    narrow array goes one short row at a time, and is the slower.  Without
+    a tape the clip is done in place too.  The backward pass gives d/dprobs
+    directly, ``g * coef / -clip(P) * inside`` with ``inside`` the clip's
+    mask; it reuses the gathered rows of a one-block batch and gathers them
+    again otherwise.
     """
     probs, tape = ad._coerce(probs)
     P = probs.data
-    if P.shape != coef.shape:
+    n, K = len(labels), table.shape[1]
+    if P.shape != (n, K):
         raise ShapeMismatch("weighted_ce expects %d x %d probabilities, got %s"
-                            % (coef.shape + (P.shape,)))
+                            % (n, K, P.shape))
     clipped = np.clip(P, PROB_FLOOR, 1.0)
+    ce = np.log(clipped, out=None if tape is not None else clipped)
+    np.negative(ce, out=ce)
+    for start in range(0, n, BLOCK_ROWS):
+        coef = np.take(table, labels[start:start + BLOCK_ROWS], axis=0)
+        ce[start:start + BLOCK_ROWS] *= coef
 
     def backward(g):
+        full = coef if n <= BLOCK_ROWS else np.take(table, labels, axis=0)
         inside = (P >= PROB_FLOOR) & (P <= 1.0)
-        probs._accumulate(g * coef / -clipped * inside, owned=True)
+        probs._accumulate(g * full / -clipped * inside, owned=True)
 
-    return ad._make("weighted_ce", np.einsum("nk,nk->k", coef, -np.log(clipped)),
-                    tape, backward)
+    return ad._make("weighted_ce", np.einsum("nk->k", ce), tape, backward)
+
+
+def coefficient_table(n: int, K: int, objective: str = "complementary") -> np.ndarray:
+    """The (K+1) x K ``weighted_ce`` table of a classifier objective on a
+    batch of n: row y holds 1-based label y's coefficients, row 0 unused, so
+    the labels index it directly.  Row y is ``(1 - (K-1) onehot(y)) / n``
+    for ``"complementary"`` and ``onehot(y) / n`` for ``"ce"``, each entry
+    the formula's scalar for its onehot bit, so the bits equal those of the
+    array expression.
+    """
+    onehot = np.eye(K + 1, K, -1, dtype=bool)
+    if objective == "complementary":
+        return np.where(onehot, (1.0 - (K - 1.0)) / n, 1.0 / n)
+    if objective == "ce":
+        return np.where(onehot, 1.0 / n, 0.0 / n)
+    raise ContractError("unknown classifier objective %r" % objective)
 
 
 def objective_coefficients(labels: np.ndarray, K: int,
                            objective: str = "complementary") -> np.ndarray:
-    """The n x K ``weighted_ce`` coefficients of a classifier objective for
-    the 1-based batch labels y: ``(1 - (K-1) onehot(y)) / n`` for
-    ``"complementary"``, ``onehot(y) / n`` for ``"ce"``.
-
-    Each row is gathered from a (K+1) x K table whose row y holds label y's
-    coefficients, row 0 unused, so the labels index it directly.  Each entry
-    is the formula's scalar for its onehot bit, so the bits equal those of
-    the array expression.
-    """
-    n = len(labels)
-    onehot = np.eye(K + 1, K, -1, dtype=bool)
-    if objective == "complementary":
-        table = np.where(onehot, (1.0 - (K - 1.0)) / n, 1.0 / n)
-    elif objective == "ce":
-        table = np.where(onehot, 1.0 / n, 0.0 / n)
-    else:
-        raise ContractError("unknown classifier objective %r" % objective)
-    return np.take(table, labels, axis=0)
+    """The n x K coefficients of a classifier objective for the 1-based batch
+    labels: the rows of ``coefficient_table`` gathered at the labels."""
+    return np.take(coefficient_table(len(labels), K, objective), labels, axis=0)
 
 
 def total_comp_loss(probs: Tensor, labels: np.ndarray,
@@ -75,13 +91,14 @@ def total_comp_loss(probs: Tensor, labels: np.ndarray,
     ``weighted_ce`` node; K is ``probs``' column count and ``labels`` the
     batch's 1-based labels, checked by ``complabel.partition_batch``.
 
-    ``objective`` picks the coefficients (``objective_coefficients``):
+    ``objective`` picks the coefficients (``coefficient_table``):
     ``"complementary"`` is the unbiased risk of Ishida et al. (2019), in
     which a sample with complementary label y costs
     sum_k CE(p, k) - (K-1) CE(p, y); ``"ce"`` is ordinary cross-entropy on
     y, whose coefficients are never negative and so neither is any class.
     """
-    return weighted_ce(probs, objective_coefficients(labels, probs.shape[1], objective))
+    table = coefficient_table(len(labels), probs.shape[1], objective)
+    return weighted_ce(probs, labels, table)
 
 
 def scatter_map(probs: Tensor, l: float) -> Tensor:

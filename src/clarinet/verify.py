@@ -153,9 +153,9 @@ def monte_carlo_unbiasedness(domain: DiscreteDomain, predictor: np.ndarray,
     ybar = _complementary_labels(domain.posteriors, xs, rng.random(n_samples),
                                  rng.integers(1, K, size=n_samples))
 
-    per_class = total_comp_loss(Tensor(np.take(predictor, xs, axis=0)),
-                                partition_batch(ybar, K))
-    empirical = float(per_class.data.sum())
+    # the node, and with it the batch, is dropped once its total is read
+    empirical = float(total_comp_loss(Tensor(np.take(predictor, xs, axis=0)),
+                                      partition_batch(ybar, K)).data.sum())
 
     ce = _ce_table(predictor)
     true_risk, _, _ = exact_unbiasedness(domain, predictor)

@@ -642,6 +642,36 @@ def test_eval_names_a_bad_csv_row(tmp_path, capsys, saved_model, row, shown):
     assert capsys.readouterr().err == "config error: %s: %s\n" % (bad, shown)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_eval_names_a_non_finite_csv_feature(tmp_path, capsys, saved_model, bad):
+    # named as a bad file, not as a diverged run, and without NumPy's warning
+    data = tmp_path / "holes.csv"
+    data.write_text("x0,x1,label\n0.5,0.5,1\n%s,0.5,2\n" % bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", str(saved_model[0]), str(data)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s: data row 2, column 1: %s is not a finite number\n" % (data, bad))
+
+
+def test_prepared_task_with_a_non_finite_feature_exits_2(tmp_path, capsys):
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--config", str(write_config(tmp_path)), "--out", str(prep)]) == 0
+    source = prep / "source_comp.csv"
+    lines = source.read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    source.write_text("\n".join(lines) + "\n")
+    task = {"type": "prepared", "manifest": str(prep / "manifest.json"),
+            "source_csv": str(source), "target_csv": str(prep / "target.csv")}
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(write_config(tmp_path, task=task)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s: data row 3, column 1: nan is not a finite number\n" % source)
+    assert not out.exists()
+
+
 class TestJsonFiles:
     @pytest.mark.parametrize("text", [None, "{", "[1, 2", "\xff"])
     def test_config_that_is_not_json_exits_2(self, tmp_path, capsys, text):
@@ -722,3 +752,18 @@ class TestSubsample:
             runs.append((out / "clarinet_seed0.csv").read_text().splitlines())
         assert [len(r) for r in runs] == [3, 3]
         assert runs[0][1].split(",")[1] != runs[1][1].split(",")[1]
+
+
+@pytest.mark.parametrize("verb", ["prepare", "train"])
+def test_idx_domains_that_disagree_on_K_exit_2(tmp_path, capsys, idx_task, verb):
+    # a target with a fourth class would otherwise train at the source's K=3
+    rng = np.random.default_rng(1)
+    wider = LabeledDataset(rng.uniform(size=(40, 4)), np.arange(40) % 4 + 1, K=4)
+    write_idx(idx_task["target_images"], idx_task["target_labels"], wider, 2, 2)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(write_config(tmp_path, task=idx_task)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: idx source and target disagree on K: the source labels give "
+        "K=3, the target labels K=4\n")
+    assert not out.exists()

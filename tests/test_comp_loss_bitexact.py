@@ -2,13 +2,19 @@
 
 ``reference`` below states in plain NumPy the arithmetic of
 ``losses.weighted_ce`` and of the ``tsum`` nodes the classifier step builds
-on it for the complementary objective: with ``coef = (1 - (K-1)
-onehot(ybar)) / n`` the per-class losses are ``(coef * CE).sum(axis=0)``,
-and an upstream gradient ``g`` of them reaches the probabilities as
-``g * coef / -clip(P) * inside``.  Training records and oracle outputs
-depend on every bit of it, so values and gradients are compared with
-``np.array_equal``, the sign of zero included.
+on it: with ``coef = (1 - (K-1) onehot(ybar)) / n`` for the complementary
+objective, or ``onehot(y) / n`` for cross-entropy, the per-class losses are
+``(coef * CE).sum(axis=0)``, and an upstream gradient ``g`` of them reaches
+the probabilities as ``g * coef / -clip(P) * inside``.  ``weighted_ce``
+forms the products in place in one buffer, gathering ``coef`` from its
+table ``BLOCK_ROWS`` rows at a time, and sums them by ``einsum("nk->k")``;
+the batches here straddle those blocks.  Training records and oracle
+outputs depend on every bit of it, so values and gradients are compared
+with ``np.array_equal``, the sign of zero included.  The last tests bound
+the memory the tapeless path allocates.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +22,7 @@ import pytest
 import clarinet.autodiff as ad
 from clarinet.autodiff import Tape, Tensor
 from clarinet.complabel import partition_batch
-from clarinet.losses import PROB_FLOOR, objective_coefficients, total_comp_loss
+from clarinet.losses import BLOCK_ROWS, PROB_FLOOR, objective_coefficients, total_comp_loss
 
 
 def reference(P, labels, K, objective="complementary"):
@@ -130,6 +136,19 @@ def test_batch_with_some_negative_classes(K):
     assert_identical(reference(P, labels, K), fused)
 
 
+@pytest.mark.parametrize("objective", ["complementary", "ce"])
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+@pytest.mark.parametrize("K", [2, 4, 10])
+def test_batches_across_coefficient_blocks(K, n, objective):
+    # the products are formed one block of gathered coefficients at a time;
+    # a column of exact 1.0 makes each of its CE entries -0.0
+    rng = np.random.default_rng([K, n])
+    P, labels = random_batch(rng, n, K, 40.0)
+    P[:, K // 2] = 1.0
+    ref = reference(P, labels, K, objective)
+    assert not ref["per_class"][K // 2]
+    assert_identical(ref, run_fused(P, labels, K, objective))
+
 
 @pytest.mark.parametrize("objective", ["complementary", "ce"])
 @pytest.mark.parametrize("n", [1, 128, 100_000])
@@ -145,3 +164,20 @@ def test_coefficient_table_equals_the_onehot_form(K, n, objective):
     coef = objective_coefficients(labels, K, objective)
     assert coef.shape == expected.shape
     assert np.array_equal(coef.view(np.int64), expected.view(np.int64))
+
+
+def test_tapeless_batch_allocates_one_buffer():
+    # the Monte-Carlo oracle's 100k x 4 batch: the CE buffer and one block of
+    # coefficients, not the three batch-sized arrays of a gathered form
+    rng = np.random.default_rng(0)
+    P, labels = random_batch(rng, 100_000, 4, 1.0)
+    probs = Tensor(P)
+    total_comp_loss(probs, labels)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        total_comp_loss(probs, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * P.nbytes

@@ -1,5 +1,6 @@
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,42 @@ class TestIdx:
         write_idx(tmp_path / "imgs2", tmp_path / "labs2", short, rows=28, cols=28)
         with pytest.raises(FormatError, match="count"):
             load_idx(tmp_path / "imgs2", labs)  # 30 images vs 40 labels
+
+
+    def test_pixels_equal_the_array_expression(self, tmp_path):
+        # random pixels and the edges of the scaling: 0, 1, values outside
+        # [0, 1] and the half-steps of 1/255 that rint rounds to even
+        rng = np.random.default_rng(1)
+        edges = np.concatenate([[0.0, 1.0, -0.0, -1e-9, -3.0, 1.0 + 1e-9, 7.5],
+                                (np.arange(256) + 0.5) / 255.0,
+                                np.arange(256) / 255.0])
+        feats = np.concatenate([rng.uniform(-0.2, 1.2, size=2000), edges,
+                                np.zeros(-(2000 + len(edges)) % 16)]).reshape(-1, 16)
+        ds = LabeledDataset(feats, np.arange(len(feats)) % 256 + 1, K=256)
+        imgs, labs = tmp_path / "imgs", tmp_path / "labs"
+        write_idx(imgs, labs, ds, rows=4, cols=4)
+        expected = np.clip(np.rint(feats * 255.0), 0, 255).astype(np.uint8)
+        assert imgs.read_bytes()[16:] == expected.tobytes()
+        assert np.array_equal(load_idx(imgs, labs).labels, ds.labels)
+
+    def test_label_above_a_byte_rejected(self, tmp_path):
+        ds = LabeledDataset(np.zeros((3, 4)), [1, 300, 2], K=300, name="wide")
+        with pytest.raises(ContractError, match=r"dataset 'wide': IDX labels must be "
+                                                r"in 1\.\.256, got 1\.\.300"):
+            write_idx(tmp_path / "imgs", tmp_path / "labs", ds, rows=2, cols=2)
+        assert not (tmp_path / "imgs").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, tmp_path, bad):
+        feats = np.zeros((3, 4))
+        feats[1, 2] = bad
+        ds = LabeledDataset(feats, [1, 2, 3], K=3, name="holes")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="dataset 'holes': IDX features "
+                                                    "must be finite"):
+                write_idx(tmp_path / "imgs", tmp_path / "labs", ds, rows=2, cols=2)
+        assert not (tmp_path / "imgs").exists()
 
 
 class TestSynthetic:
@@ -202,6 +239,18 @@ class TestCsv:
         with pytest.raises(FormatError) as info:
             read_csv(path)
         assert str(info.value) == "%s: %s" % (path, shown)
+
+
+    @pytest.mark.parametrize("label", [True, False])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, bad, label):
+        path = tmp_path / "data.csv"
+        head, tail = ("x0,x1,label\n", ",1") if label else ("x0,x1\n", "")
+        path.write_text(head + "0.5,1.0%s\n0.25,%s%s\n" % (tail, bad, tail))
+        with pytest.raises(FormatError) as info:
+            read_csv(path)
+        assert str(info.value) == ("%s: data row 2, column 2: %s is not a finite number"
+                                   % (path, bad))
 
 
 def test_target_labels_hidden_from_training_view():

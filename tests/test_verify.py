@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,22 @@ class TestMonteCarlo:
         predictor = rng.dirichlet(np.ones(10), size=20)
         out = monte_carlo_unbiasedness(domain, predictor, 100_000, seed=0)
         assert tuple(map(float.hex, out)) == self.PINNED_K10
+
+    def test_one_call_at_100k_peaks_below_10_mib(self):
+        # the scored batch and its one CE buffer, not the three further
+        # batch-sized arrays of a gathered form (13.7 MiB)
+        rng = np.random.default_rng(5)
+        domain = random_domain(rng, 8, 4)
+        predictor = rng.dirichlet(np.ones(4), size=8)
+        monte_carlo_unbiasedness(domain, predictor, 100_000, seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            monte_carlo_unbiasedness(domain, predictor, 100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 10 << 20
 
     def test_z_within_normal_range(self):
         rng = np.random.default_rng(3)
