@@ -88,7 +88,6 @@ class TestIdx:
         with pytest.raises(FormatError, match="count"):
             load_idx(tmp_path / "imgs2", labs)  # 30 images vs 40 labels
 
-
     def test_pixels_equal_the_array_expression(self, tmp_path):
         # random pixels and the edges of the scaling: 0, 1, values outside
         # [0, 1] and the half-steps of 1/255 that rint rounds to even
@@ -239,7 +238,6 @@ class TestCsv:
         with pytest.raises(FormatError) as info:
             read_csv(path)
         assert str(info.value) == "%s: %s" % (path, shown)
-
 
     @pytest.mark.parametrize("label", [True, False])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
