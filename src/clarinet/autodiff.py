@@ -173,22 +173,34 @@ def hold_heap():
 
     While glibc's trim threshold is at its 128 KB default, the top of the
     heap can go back to the kernel whenever the arrays on it are freed, and
-    be faulted in again by the next step: about 300 minor page faults per
+    be faulted in again by the next step: about 160 minor page faults per
     synth-k4 step (it allocates and frees about 1 MB), 0.2-0.4 s of system
     time a run.  glibc raises its mmap threshold to the size of a freed
     mmapped block, and its trim threshold to twice that, so freeing one
-    16 MB block keeps up to 32 MB of free heap from then on.  The largest
+    8 MB block keeps up to 16 MB of free heap from then on.  The largest
     working set is the Monte-Carlo oracle's 100k x 4 batch: while
-    ``weighted_ce`` scores it, two such float64 arrays (the batch and its
-    one cross-entropy buffer), one block of gathered coefficients and two
-    100k-entry int64 vectors (the points and the labels) are live, 8.5 MB
-    as tracemalloc counts it.  Per warm ``verify all`` call (median of 20,
-    NumPy 2.4.6), no hold left about 1530 minor faults, a 4 MB block (8 MB
-    kept) about 2280, and an 8 or 16 MB block 1 (0-7).  glibc's adaptive
-    thresholds otherwise work as before (``mallopt`` would switch them
-    off), and no value changes.
+    ``weighted_ce`` scores it, the batch, its (1 + ``BLOCK_ROWS``) x 4 block
+    buffer, one block of gathered coefficients and two 100k-entry int64
+    vectors (the points and the labels) are live, and one oracle call
+    peaks at 5.3 MiB as tracemalloc counts it (8.1 MiB while a full-size
+    cross-entropy buffer was live too).  Minor faults, NumPy 2.4.6 on 2
+    vCPUs:
+
+    - per warm ``verify all`` call (median of 20, range 0-7): about 1.5
+      with no hold or a 4 MB block, 1 with an 8 or a 16 MB block; with the
+      full-size buffer, no hold left about 1530 and a 4 MB block about 1600;
+    - per training step, over a process's second run: synth-k4 about 160
+      with no hold, 0.04 with an 8 or a 16 MB block (43 in 960 steps
+      either way); idx-k10 0.01-0.02 with no hold, an 8 or a 16 MB block
+      (6-8 in 500 steps).
+
+    The 8 MB block is kept because no count rises against 16 MB, and in
+    40 s idx-k10 benchmark runs the peak RSS read 106.9, 106.9 and 107.6 MB
+    against 107.8, 107.7 and 107.7 MB.  glibc's adaptive thresholds
+    otherwise work as before (``mallopt`` would switch them off), and no
+    value changes.
     """
-    np.empty(16 << 20, dtype=np.uint8)
+    np.empty(8 << 20, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from .autodiff import Tensor
 from .errors import ContractError, ShapeMismatch
 
 PROB_FLOOR = 1e-12
-# rows of weighted_ce coefficients gathered at a time
+# rows of a batch that weighted_ce scores at a time, in one (1 + BLOCK_ROWS) x K
+# buffer whose first row carries the column sums
 BLOCK_ROWS = 8192
 
 
@@ -29,17 +30,23 @@ def weighted_ce(probs: Tensor, labels: np.ndarray, table: np.ndarray) -> Tensor:
     rows of the (K+1) x K ``table`` gathered at the 1-based ``labels``,
     entry k is the weighted column sum ``(coef * CE).sum(axis=0)[k]``.
 
-    Order contract: the forward forms CE in one n x K buffer (``np.clip``,
-    then ``np.log`` and ``np.negative`` in place), multiplies it in place by
-    ``coef``, gathered ``BLOCK_ROWS`` rows at a time so no n x K coefficient
-    array is alive, and sums it by ``einsum("nk->k")``: each column's
-    products are added in row order into an entry that starts at +0.0, as
-    the axis-0 sum adds them, so the bits are equal; the axis-0 sum of a
-    narrow array goes one short row at a time, and is the slower.  Without
-    a tape the clip is done in place too.  The backward pass gives d/dprobs
-    directly, ``g * coef / -clip(P) * inside`` with ``inside`` the clip's
-    mask; it reuses the gathered rows of a one-block batch and gathers them
-    again otherwise.
+    Order contract: the forward scores the batch one block of at most
+    ``BLOCK_ROWS`` rows at a time, in one (1 + ``BLOCK_ROWS``) x K buffer.
+    For each block it forms CE in the buffer's rows 1... (the clip, then
+    ``np.log`` and ``np.negative`` in place), multiplies them in place by
+    the block's gathered ``coef`` rows, and sums the buffer by
+    ``einsum("nk->k")`` into row 0, which holds the column sums so far.
+    That sum adds each column's entries in row order into an entry that
+    starts at +0.0, as the axis-0 sum adds them (the axis-0 sum of a narrow
+    array goes one short row at a time, and is the slower); carrying the
+    running sums as the first row continues it left to right, so the bits
+    equal those of one sum over all n rows, and no sum is ever -0.0, since
+    each starts at +0.0.  Without a tape a block is clipped in the buffer,
+    so no n x K array is allocated; with one, the full clip is kept for
+    the backward and each block's CE is taken from it.  The backward pass
+    gives d/dprobs directly, ``g * coef / -clip(P) * inside`` with
+    ``inside`` the clip's mask; it reuses the gathered rows of a one-block
+    batch and gathers them again otherwise.
     """
     probs, tape = ad._coerce(probs)
     P = probs.data
@@ -47,19 +54,26 @@ def weighted_ce(probs: Tensor, labels: np.ndarray, table: np.ndarray) -> Tensor:
     if P.shape != (n, K):
         raise ShapeMismatch("weighted_ce expects %d x %d probabilities, got %s"
                             % (n, K, P.shape))
-    clipped = np.clip(P, PROB_FLOOR, 1.0)
-    ce = np.log(clipped, out=None if tape is not None else clipped)
-    np.negative(ce, out=ce)
+    clipped = np.clip(P, PROB_FLOOR, 1.0) if tape is not None else None
+    buf = np.zeros((1 + min(n, BLOCK_ROWS), K))
+    sums = buf[0]
     for start in range(0, n, BLOCK_ROWS):
-        coef = np.take(table, labels[start:start + BLOCK_ROWS], axis=0)
-        ce[start:start + BLOCK_ROWS] *= coef
+        block = slice(start, start + BLOCK_ROWS)
+        coef = np.take(table, labels[block], axis=0)
+        rows = buf[1:1 + len(coef)]
+        clip = (np.clip(P[block], PROB_FLOOR, 1.0, out=rows) if clipped is None
+                else clipped[block])
+        np.log(clip, out=rows)
+        np.negative(rows, out=rows)
+        rows *= coef
+        buf[0] = sums = np.einsum("nk->k", buf[:1 + len(coef)])
 
     def backward(g):
         full = coef if n <= BLOCK_ROWS else np.take(table, labels, axis=0)
         inside = (P >= PROB_FLOOR) & (P <= 1.0)
         probs._accumulate(g * full / -clipped * inside, owned=True)
 
-    return ad._make("weighted_ce", np.einsum("nk->k", ce), tape, backward)
+    return ad._make("weighted_ce", sums, tape, backward)
 
 
 def coefficient_table(n: int, K: int, objective: str = "complementary") -> np.ndarray:

@@ -6,12 +6,16 @@ on it: with ``coef = (1 - (K-1) onehot(ybar)) / n`` for the complementary
 objective, or ``onehot(y) / n`` for cross-entropy, the per-class losses are
 ``(coef * CE).sum(axis=0)``, and an upstream gradient ``g`` of them reaches
 the probabilities as ``g * coef / -clip(P) * inside``.  ``weighted_ce``
-forms the products in place in one buffer, gathering ``coef`` from its
-table ``BLOCK_ROWS`` rows at a time, and sums them by ``einsum("nk->k")``;
-the batches here straddle those blocks.  Training records and oracle
-outputs depend on every bit of it, so values and gradients are compared
-with ``np.array_equal``, the sign of zero included.  The last tests bound
-the memory the tapeless path allocates.
+scores the batch ``BLOCK_ROWS`` rows at a time in one (1 + ``BLOCK_ROWS``)
+x K buffer: it forms a block's products in place in the buffer's rows
+1..., with ``coef`` gathered from its table, and sums the buffer by
+``einsum("nk->k")`` into row 0, which carries the column sums so far.
+Without a tape a block is clipped in the buffer; with one the full clip is
+kept for the backward.  The batches here straddle those blocks.  Training
+records and oracle outputs depend on every bit of it, so values and
+gradients are compared with ``np.array_equal``, the sign of zero included,
+and the tapeless vector as bytes.  The last tests bound the memory the
+tapeless path allocates.
 """
 
 import tracemalloc
@@ -167,8 +171,9 @@ def test_coefficient_table_equals_the_onehot_form(K, n, objective):
 
 
 def test_tapeless_batch_allocates_one_buffer():
-    # the Monte-Carlo oracle's 100k x 4 batch: the CE buffer and one block of
-    # coefficients, not the three batch-sized arrays of a gathered form
+    # the Monte-Carlo oracle's 100k x 4 batch: one block buffer and one block
+    # of coefficients, less than the full-size CE buffer this bound was set
+    # for, and far less than the three batch-sized arrays of a gathered form
     rng = np.random.default_rng(0)
     P, labels = random_batch(rng, 100_000, 4, 1.0)
     probs = Tensor(P)
@@ -181,3 +186,36 @@ def test_tapeless_batch_allocates_one_buffer():
     finally:
         tracemalloc.stop()
     assert peak - before < 1.5 * P.nbytes
+
+
+@pytest.mark.parametrize("objective", ["complementary", "ce"])
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1,
+                               100_000])
+@pytest.mark.parametrize("K", [2, 4, 10])
+def test_tapeless_per_class_vector_matches_bytes(K, n, objective):
+    # without a tape each block is clipped in the block buffer and its sums
+    # carried in the buffer's first row; a column of exact 1.0 gives CE
+    # entries of -0.0, whose column sum must still be +0.0
+    rng = np.random.default_rng([K, n, 1])
+    P, labels = random_batch(rng, n, K, 40.0)
+    P[:, K // 2] = 1.0
+    per_class = total_comp_loss(Tensor(P), labels, objective).data
+    expected = reference(P, labels, K, objective)["per_class"]
+    assert per_class.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [100_000, 300_000])
+def test_tapeless_allocation_does_not_grow_with_the_batch(n):
+    # one (1 + BLOCK_ROWS) x K buffer and one block of coefficients, whatever n
+    rng = np.random.default_rng(n)
+    P, labels = random_batch(rng, n, 4, 1.0)
+    probs = Tensor(P)
+    total_comp_loss(probs, labels)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        total_comp_loss(probs, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1 << 20
