@@ -194,11 +194,12 @@ def hold_heap():
       either way); idx-k10 0.01-0.02 with no hold, an 8 or a 16 MB block
       (6-8 in 500 steps).
 
-    The 8 MB block is kept because no count rises against 16 MB, and in
-    40 s idx-k10 benchmark runs the peak RSS read 106.9, 106.9 and 107.6 MB
-    against 107.8, 107.7 and 107.7 MB.  glibc's adaptive thresholds
-    otherwise work as before (``mallopt`` would switch them off), and no
-    value changes.
+    The 8 MB block is kept because no count rises against 16 MB.  In three
+    40 s idx-k10 benchmark runs each, the peak RSS read 106.9, 106.9 and
+    107.6 MB against 107.8, 107.7 and 107.7 MB with 16 MB; over ten
+    benchmark pairs its median stayed at 107.7 MB.  glibc's adaptive
+    thresholds otherwise work as before (``mallopt`` would switch them
+    off), and no value changes.
     """
     np.empty(8 << 20, dtype=np.uint8)
 
