@@ -98,9 +98,8 @@ _FILE_FIELDS = {
 def _require_task(task):
     """The config's task must be an object; the file fields of an ``idx``
     or ``prepared`` task must each be a non-empty string (an integer would be
-    opened as a file descriptor), the fields of a ``synthetic`` task must
-    be valid generator fields, and an ``idx`` task's K, when given and not
-    null, must be an integer >= 2.  The manifest and the run summaries echo the
+    opened as a file descriptor), and the fields of a ``synthetic`` task must
+    be valid generator fields.  The manifest and the run summaries echo the
     task, also its keys that nothing reads, so it must hold only finite
     numbers: strict JSON has no NaN."""
     if not isinstance(task, dict):
@@ -112,9 +111,6 @@ def _require_task(task):
     if task.get("type") == "synthetic":
         # a non-finite generator field is named by its own message
         _synthetic_config(task)
-    if task.get("type") == "idx" and task.get("K") is not None:
-        if not (_is_int(task["K"]) and task["K"] >= 2):
-            raise ContractError("task.K must be an integer >= 2, got %r" % (task["K"],))
     try:
         json.dumps(task, allow_nan=False)
     except ValueError:
@@ -200,10 +196,7 @@ def _synthetic_config(task) -> SyntheticPairConfig:
 
 def _labelled_pair(task, seed):
     """The complementary source and the labelled target of a synthetic or idx
-    task, for both ``prepare`` and ``train``.  An idx task's K is
-    ``task.K`` when given and not null, and both domains' labels must lie in
-    1..K; otherwise each domain's largest label gives it, and the two must
-    agree.  ``task.subsample``, when given
+    task, for both ``prepare`` and ``train``.  ``task.subsample``, when given
     and not null, keeps that many source rows, drawn with ``seed``; the
     complementary labels are drawn from ``default_rng([seed, 7])``."""
     kind = task.get("type")
@@ -212,18 +205,10 @@ def _labelled_pair(task, seed):
     elif kind == "idx":
         src = load_idx(task["source_images"], task["source_labels"], name="idx-source")
         tgt = load_idx(task["target_images"], task["target_labels"], name="idx-target")
-        K = task.get("K")
-        if K is None:
-            if src.K != tgt.K:
-                raise ContractError("idx source and target disagree on K: the source "
-                                    "labels give K=%d, the target labels K=%d"
-                                    % (src.K, tgt.K))
-        else:
-            for domain, ds in (("source", src), ("target", tgt)):
-                if ds.K > K:
-                    raise ContractError("task.K is %d, but the idx %s has label %d"
-                                        % (K, domain, ds.K))
-            src, tgt = (dataclasses.replace(ds, K=K) for ds in (src, tgt))
+        if src.K != tgt.K:
+            raise ContractError("idx source and target disagree on K: the source "
+                                "labels give K=%d, the target labels K=%d"
+                                % (src.K, tgt.K))
     else:
         raise ContractError("unknown task type %r; prepare takes synthetic or idx, "
                             "train also prepared" % (kind,))

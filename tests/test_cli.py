@@ -817,49 +817,3 @@ def test_eval_of_another_width_names_the_file(tmp_path, capsys, saved_model):
     assert capsys.readouterr().err == (
         "config error: %s has 3 feature columns, the checkpoint's model takes 2\n" % data)
 
-
-def relabel_idx(task, domain, K):
-    """Rewrite one domain of ``idx_task`` with labels cycling through 1..K."""
-    n = 60 if domain == "source" else 40
-    ds = LabeledDataset(np.random.default_rng(K).uniform(size=(n, 4)), np.arange(n) % K + 1,
-                        K=K)
-    write_idx(task[domain + "_images"], task[domain + "_labels"], ds, 2, 2)
-
-
-@pytest.mark.parametrize("verb", ["prepare", "train"])
-def test_idx_task_K_admits_a_target_missing_the_top_class(tmp_path, capsys, idx_task, verb):
-    # source labels 1..4 and target labels 1..3: without task.K the two
-    # domains give different K
-    relabel_idx(idx_task, "source", 4)
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, task=dict(idx_task, K=4), epochs=2)
-    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
-    if verb == "prepare":
-        assert json.loads((out / "manifest.json").read_text())["K"] == 4
-    else:
-        summary = json.loads((out / "clarinet_seed0.json").read_text())
-        assert summary["resolved_config"]["K"] == 4
-
-
-@pytest.mark.parametrize("verb", ["prepare", "train"])
-@pytest.mark.parametrize("domain", ["source", "target"])
-def test_idx_label_above_task_K_exits_2(tmp_path, capsys, idx_task, verb, domain):
-    relabel_idx(idx_task, domain, 4)
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, task=dict(idx_task, K=3))
-    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "config error: task.K is 3, but the idx %s has label 4\n" % domain)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("verb", ["prepare", "train"])
-@pytest.mark.parametrize("value", [1, 0, "4", 4.0, True, [4]])
-def test_idx_task_K_that_is_no_integer_above_1_exits_2(tmp_path, capsys, idx_task, verb,
-                                                       value):
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, task=dict(idx_task, K=value))
-    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "config error: task.K must be an integer >= 2, got %r\n" % (value,))
-    assert not out.exists()
