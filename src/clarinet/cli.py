@@ -4,6 +4,8 @@ experiments across variants and seeds, ``verify`` the math oracles, and
 
 Precedence is flags > config file > defaults; every output embeds the fully
 resolved configuration so a run is reproducible from its artifacts alone.
+So a run's seeds are each --seed, else the config's ``seeds``, else [0];
+``prepare`` and ``verify`` take exactly one.
 Exit codes: 0 success, 1 verification/assertion failure, 2 usage or config error
 or a diverged (non-finite) run.
 """
@@ -14,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -63,29 +64,25 @@ def _check_seed(seed, source):
     """A seed NumPy's generators take: a non-negative integer."""
     if seed < 0:
         raise ContractError("%s must be a non-negative integer, got %r" % (source, seed))
-    return seed
 
 
-def _one_seed(args, seeds=None):
-    """The seed of ``prepare`` and ``verify``: --seed, given at most once,
-    else the one entry of the config's ``seeds`` when the config names them
-    (checked by ``_resolve``), else the CLARINET_SEED environment variable,
-    else 0."""
-    if len(args.seed) > 1:
-        raise ContractError("%s takes one --seed, got %d" % (args.verb, len(args.seed)))
-    if args.seed:
-        return _check_seed(args.seed[0], "--seed")
-    if seeds is not None:
-        if len(seeds) != 1:
-            raise ContractError("%s takes one seed, got config key seeds %r"
-                                % (args.verb, seeds))
-        return seeds[0]
-    raw = os.environ.get("CLARINET_SEED", "0")
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ContractError("CLARINET_SEED must be an integer, got %r" % raw) from None
-    return _check_seed(seed, "CLARINET_SEED")
+def _seeds(args, seeds, one=False):
+    """The seeds of a run: each --seed if any is given, else ``seeds``, the
+    resolved config's (checked by ``_resolve``).  A --seed must be a
+    non-negative integer, no seed may repeat, and with ``one``, as for
+    ``prepare`` and ``verify``, there must be exactly one."""
+    seeds, source = (args.seed, "--seed") if args.seed else (seeds, "config key seeds")
+    if one and len(seeds) > 1:
+        if args.seed:
+            raise ContractError("%s takes one --seed, got %d" % (args.verb, len(seeds)))
+        raise ContractError("%s takes one seed, got config key seeds %r" % (args.verb, seeds))
+    for seed in args.seed:
+        _check_seed(seed, "--seed")
+    for seed in seeds:
+        if seeds.count(seed) > 1:
+            raise ContractError("seed %d is given %d times in %s"
+                                % (seed, seeds.count(seed), source))
+    return seeds
 
 
 # file fields of the task types that read files
@@ -170,7 +167,7 @@ def _resolve(args, **defaults):
         if key != "task":
             value = _check_type("config key " + key, value, TRAIN_DEFAULTS[key])
         resolved[key] = value
-    for seed in resolved["seeds"] or ():
+    for seed in resolved["seeds"]:
         _check_seed(seed, "a seed in config key seeds")
     _require_task(resolved.get("task"))
     return resolved
@@ -255,10 +252,9 @@ def _load_task(task, seed):
 
 
 def cmd_prepare(args):
-    # seeds stays None unless the config names them
-    resolved = _resolve(args, out="prepared", seeds=None)
+    resolved = _resolve(args, out="prepared")
     task = resolved["task"]
-    seed = _one_seed(args, resolved["seeds"])
+    (seed,) = _seeds(args, resolved["seeds"], one=True)
     out = Path(resolved["out"])
 
     source, tgt = _labelled_pair(task, seed)
@@ -280,15 +276,8 @@ def cmd_prepare(args):
 
 
 def cmd_train(args):
-    resolved = _resolve(args, out="runs")
-    if args.seed:
-        resolved["seeds"] = [_check_seed(seed, "--seed") for seed in args.seed]
-    seeds = resolved["seeds"]
-    for seed in seeds:
-        if seeds.count(seed) > 1:
-            raise ContractError("seed %d is given %d times in %s"
-                                % (seed, seeds.count(seed),
-                                   "--seed" if args.seed else "config key seeds"))
+    resolved = _resolve(args)
+    resolved["seeds"] = _seeds(args, resolved["seeds"])
     task = resolved["task"]
     out = Path(resolved["out"])
 
@@ -332,7 +321,8 @@ def cmd_train(args):
 
 
 def cmd_verify(args):
-    seed = _one_seed(args)
+    # verify reads no config, so its one seed is --seed, else 0
+    (seed,) = _seeds(args, [0], one=True)
     # an unusable --out fails before the suite runs
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -376,12 +366,12 @@ def build_parser():
     sp = sub.add_parser("prepare", help="generate a complementary-label dataset")
     sp.add_argument("--config", help="JSON config file")
     common(sp, "seed of the complementary labels and the subsample; given once, "
-               "default the config's one seed, else CLARINET_SEED, else 0")
+               "default the config's one seed, else 0")
     sp.set_defaults(fn=cmd_prepare)
 
     sp = sub.add_parser("train", help="run an experiment per seed")
     sp.add_argument("--config", help="JSON config file")
-    common(sp, "repeatable, one run per seed; overrides config seeds")
+    common(sp, "repeatable, one run per seed; default the config's seeds, else 0")
     sp.add_argument("--variant", choices=tuple(VARIANTS))
     sp.add_argument("--l", type=float, help="scatter temperature")
     sp.add_argument("--ts", type=int, help="adversarial start epoch")
@@ -390,7 +380,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp, "seed of the oracles' draws; given once, default CLARINET_SEED, else 0")
+    common(sp, "seed of the oracles' draws; given once, default 0")
     sp.add_argument("suite", choices=("unbiasedness", "gradcheck", "tmap", "all"))
     sp.set_defaults(fn=cmd_verify)
 

@@ -109,6 +109,8 @@ def load_idx(images_path, labels_path, name: str = "") -> LabeledDataset:
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError("%s: bad images magic 0x%08x" % (images_path, magic))
         n, rows, cols = struct.unpack(">III", read_exact(fh, 12, images_path))
+        if n == 0:
+            raise FormatError("%s: holds no images" % images_path)
         raw = read_exact(fh, n * rows * cols, images_path)
         if fh.read(1):
             raise FormatError("%s: trailing bytes after image payload" % images_path)

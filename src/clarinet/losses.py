@@ -92,13 +92,6 @@ def coefficient_table(n: int, K: int, objective: str = "complementary") -> np.nd
     raise ContractError("unknown classifier objective %r" % objective)
 
 
-def objective_coefficients(labels: np.ndarray, K: int,
-                           objective: str = "complementary") -> np.ndarray:
-    """The n x K coefficients of a classifier objective for the 1-based batch
-    labels: the rows of ``coefficient_table`` gathered at the labels."""
-    return np.take(coefficient_table(len(labels), K, objective), labels, axis=0)
-
-
 def total_comp_loss(probs: Tensor, labels: np.ndarray,
                     objective: str = "complementary") -> Tensor:
     """The K-vector of per-class losses of a classifier objective, one

@@ -82,7 +82,6 @@ class NetworkTriplet:
     F: Network
     D: Network
     K: int
-    specs: dict = field(default_factory=dict)
     classifier_side: Parameter = field(init=False, repr=False)
     discriminator_side: Parameter = field(init=False, repr=False)
 
@@ -116,8 +115,7 @@ def build_triplet(spec_G: NetworkSpec, spec_F: NetworkSpec, spec_D: NetworkSpec,
         raise ContractError("D must end in a scalar sigmoid head")
     rng = np.random.default_rng(seed)
     return NetworkTriplet(G=Network(spec_G, rng), F=Network(spec_F, rng),
-                          D=Network(spec_D, rng), K=K,
-                          specs={"G": spec_G, "F": spec_F, "D": spec_D})
+                          D=Network(spec_D, rng), K=K)
 
 
 def default_specs(d: int, K: int, d_g: int = 64, hidden: int = 128,

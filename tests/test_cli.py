@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from clarinet.cli import main
-from clarinet.data import LabeledDataset, read_csv, write_csv, write_idx
+from clarinet.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, LabeledDataset, read_csv,
+                           write_csv, write_idx)
 from clarinet.models import build_triplet, default_specs, save_checkpoint
 
 
@@ -59,9 +60,8 @@ class TestPrepare:
         # the features themselves are seed-independent; only labels differ
         assert (a / "target.csv").read_bytes() == (b / "target.csv").read_bytes()
 
-    def test_config_seed_equals_the_flag(self, tmp_path, capsys, monkeypatch):
-        # --seed, then the config's one seed, then CLARINET_SEED, then 0
-        monkeypatch.setenv("CLARINET_SEED", "5")
+    def test_config_seed_equals_the_flag(self, tmp_path, capsys):
+        # --seed, then the config's one seed, then 0
         runs = {}
         for name, seeds, flags in (("config", [3], []), ("flag", None, ["--seed", "3"]),
                                    ("flag_over_config", [4], ["--seed", "3"]),
@@ -99,38 +99,21 @@ class TestPrepare:
         assert "config error: task must hold only finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("verb", ["prepare", "verify"])
-    def test_non_integer_env_seed_exits_2(self, tmp_path, capsys, monkeypatch, verb):
-        monkeypatch.setenv("CLARINET_SEED", "seven")
-        # a config's seeds come before CLARINET_SEED, so this one names none
-        argv = (["prepare", "--config", str(write_config(tmp_path, seeds=None)),
-                 "--out", str(tmp_path / "p")] if verb == "prepare" else ["verify", "tmap"])
-        assert main(argv) == 2
-        assert "CLARINET_SEED must be an integer, got 'seven'" in capsys.readouterr().err
-
 
 class TestNegativeSeed:
     # NumPy's generators take no negative seed; every route names the value
-    @pytest.mark.parametrize("verb, flags, env, message", [
-        ("verify", ["--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
-        ("verify", [], "-3", "CLARINET_SEED must be a non-negative integer, got -3"),
-        ("prepare", ["--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
-        ("prepare", [], "-3", "CLARINET_SEED must be a non-negative integer, got -3"),
-        ("train", ["--seed", "0", "--seed", "-1"], None,
-         "--seed must be a non-negative integer, got -1"),
-    ])
-    def test_flag_or_env_exits_2(self, tmp_path, capsys, monkeypatch, verb, flags, env,
-                                 message):
-        if env is not None:
-            monkeypatch.setenv("CLARINET_SEED", env)
+    @pytest.mark.parametrize("verb, flags", [
+        ("verify", ["--seed", "-1"]),
+        ("prepare", ["--seed", "-1"]),
+        ("train", ["--seed", "0", "--seed", "-1"]),
+    ], ids=["verify", "prepare", "train"])
+    def test_flag_exits_2(self, tmp_path, capsys, verb, flags):
         out = tmp_path / "out"
         argv = [verb] + flags + ["--out", str(out)]
-        # a config's seeds come before CLARINET_SEED, so this one names none
-        cfg = write_config(tmp_path, seeds=None)
-        argv += ["tmap"] if verb == "verify" else ["--config", str(cfg)]
+        argv += ["tmap"] if verb == "verify" else ["--config", str(write_config(tmp_path))]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "config error: " + message in err
+        assert "config error: --seed must be a non-negative integer, got -1" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -147,12 +130,31 @@ class TestNegativeSeed:
         assert not out.exists()
 
     def test_config_seeds_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, seeds=[0, -1])
-        out = tmp_path / "r"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        assert ("a seed in config key seeds must be a non-negative integer, got -1"
-                in capsys.readouterr().err)
-        assert not out.exists()
+        # also where --seed overrides them
+        for seeds, flags in (([0, -1], []), ([-1], ["--seed", "0"])):
+            cfg = write_config(tmp_path, seeds=seeds)
+            out = tmp_path / "r"
+            assert main(["train", "--config", str(cfg), "--out", str(out)] + flags) == 2
+            assert ("a seed in config key seeds must be a non-negative integer, got -1"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["prepare", "train", "verify"])
+def test_environment_sets_no_seed(tmp_path, monkeypatch, verb):
+    # a run's seeds are --seed, else the config's, else [0]; never the environment
+    monkeypatch.setenv("CLARINET_SEED", "seven")
+    if verb == "verify":
+        assert main(["verify", "tmap"]) == 0
+        return
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, seeds=None, epochs=2)
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
+    if verb == "prepare":
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+    else:
+        assert sorted(f.name for f in out.glob("*_seed*")) == [
+            "clarinet_seed0.ckpt", "clarinet_seed0.csv", "clarinet_seed0.json"]
 
 
 class TestTrain:
@@ -345,16 +347,6 @@ class TestTrain:
     def test_int_for_a_float_key_is_legal(self, tmp_path):
         cfg = write_config(tmp_path, l=1, weight_decay=0)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
-
-    def test_env_seed_does_not_reach_train(self, tmp_path, monkeypatch):
-        # seeds default to [0], so training never reads CLARINET_SEED
-        monkeypatch.setenv("CLARINET_SEED", "seven")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"task": SMALL_TASK, "epochs": 2, "ts": 1,
-                                   "batch": 64, "hidden": 16, "d_g": 8}))
-        out = tmp_path / "r"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "clarinet_seed0.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverging_run_exits_2(self, tmp_path, capsys):
@@ -766,6 +758,19 @@ def test_idx_domains_that_disagree_on_K_exit_2(tmp_path, capsys, idx_task, verb)
     assert capsys.readouterr().err == (
         "config error: idx source and target disagree on K: the source labels give "
         "K=3, the target labels K=4\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["prepare", "train"])
+def test_idx_pair_of_no_images_exits_2(tmp_path, capsys, idx_task, verb):
+    # the labels' maximum, which gives K, has no value on an empty pair
+    (tmp_path / "source-images").write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 0, 2, 2))
+    (tmp_path / "source-labels").write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 0))
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(write_config(tmp_path, task=idx_task)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s: holds no images\n" % idx_task["source_images"])
     assert not out.exists()
 
 

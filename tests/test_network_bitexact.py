@@ -176,7 +176,7 @@ def test_parameters_are_views_into_their_side():
             assert not np.shares_memory(getattr(t.classifier_side, a),
                                         getattr(t.discriminator_side, b))
     # the draws are those of per-parameter arrays: one seed, one set of values
-    fresh = Network(t.specs["G"], np.random.default_rng(5))
+    fresh = Network(t.G.spec, np.random.default_rng(5))
     for p, q in zip(t.G.parameters, fresh.parameters):
         assert_same_bits(p.value, q.value)
 

@@ -249,8 +249,9 @@ class TestMonteCarlo:
         out = monte_carlo_unbiasedness(domain, predictor, 100_000, seed=0)
         assert tuple(map(float.hex, out)) == self.PINNED_K10
 
-    @staticmethod
-    def peak_of_one_call_at_100k():
+    def test_one_call_at_100k_peaks_below_6_mib(self):
+        # scored in blocks, no batch-sized CE buffer is alive beside the
+        # batch (8.1 MiB with one)
         rng = np.random.default_rng(5)
         domain = random_domain(rng, 8, 4)
         predictor = rng.dirichlet(np.ones(4), size=8)
@@ -262,17 +263,7 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - before
-
-    def test_one_call_at_100k_peaks_below_10_mib(self):
-        # the scored batch and one block buffer, not the three further
-        # batch-sized arrays of a gathered form (13.7 MiB)
-        assert self.peak_of_one_call_at_100k() < 10 << 20
-
-    def test_one_call_at_100k_peaks_below_6_mib(self):
-        # scored in blocks, no batch-sized CE buffer is alive beside the
-        # batch (8.1 MiB with one)
-        assert self.peak_of_one_call_at_100k() < 6 << 20
+        assert peak - before < 6 << 20
 
     def test_z_within_normal_range(self):
         rng = np.random.default_rng(3)
