@@ -13,8 +13,10 @@ reference counting alone; forward-only code should record no tape at all.
 Gradient contract:
 
 - a constant operand (``tape is None``) gets no gradient computed: every
-  backward tests ``operand.tape`` before forming that operand's term, and
-  ``Tensor._accumulate`` ignores constants as a backstop;
+  backward tests ``operand.tape`` before forming that operand's term,
+  except where that operand alone gave the op its tape, and so is on the
+  tape whenever the backward runs; ``Tensor._accumulate`` ignores
+  constants as a backstop;
 - a tensor's first gradient is ``g + 0.0``, a fresh array that maps -0.0 to
   +0.0 as a zero-filled buffer plus ``g`` would;
 - an op that has just created ``g`` for one operand, and holds no other
@@ -480,14 +482,10 @@ def log(x):
     return _make("log", np.log(x.data), tape, backward)
 
 
-def clamp(x, lo=None, hi=None):
-    """Clip values; gradient flows only where the input was inside the range."""
+def clamp(x, lo, hi):
+    """Clip values to [lo, hi]; gradient flows only where the input was inside."""
     x, tape = _coerce(x)
-    inside = np.ones_like(x.data, dtype=bool)
-    if lo is not None:
-        inside &= x.data >= lo
-    if hi is not None:
-        inside &= x.data <= hi
+    inside = (x.data >= lo) & (x.data <= hi)
 
     def backward(g):
         x._accumulate(g * inside)
@@ -504,8 +502,8 @@ def tsum(x, axis=None, keepdims=False):
 
     def backward(g):
         if axis is None:
-            x._accumulate(np.broadcast_to(g, x.shape).copy() if np.ndim(g) else
-                          np.full(x.shape, g))
+            # the output is 0-d, and so is its gradient
+            x._accumulate(np.full(x.shape, g))
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
             x._accumulate(np.broadcast_to(gg, x.shape).copy())
@@ -514,18 +512,15 @@ def tsum(x, axis=None, keepdims=False):
     return _make("sum", np.add.reduce(x.data, axis=axis, keepdims=keepdims), tape, backward)
 
 
-def tmean(x, axis=None, keepdims=False):
+def tmean(x):
+    """The mean of every entry, a 0-d tensor."""
     x, tape = _coerce(x)
-    n = x.data.size if axis is None else x.data.shape[axis]
+    n = x.data.size
 
     def backward(g):
-        if axis is None:
-            x._accumulate(np.full(x.shape, g / n))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(gg / n, x.shape).copy())
+        x._accumulate(np.full(x.shape, g / n))
 
-    return _make("mean", x.data.mean(axis=axis, keepdims=keepdims), tape, backward)
+    return _make("mean", x.data.mean(), tape, backward)
 
 
 def take_rows(x, idx):
@@ -580,9 +575,6 @@ def outer_flatten(u, v):
     """
     u, v, tape = _coerce(u, v)
     ud, vd = u.data, v.data
-    squeeze = False
-    if ud.ndim == 1 and vd.ndim == 1:
-        ud, vd, squeeze = ud[None, :], vd[None, :], True
     if ud.ndim != 2 or vd.ndim != 2 or ud.shape[0] != vd.shape[0]:
         raise ShapeMismatch("outer_flatten expects matching row counts, got %s and %s"
                             % (u.shape, v.shape))
@@ -595,10 +587,8 @@ def outer_flatten(u, v):
     def backward(g):
         g3 = g.reshape(n, d, k)
         if u.tape is not None:
-            du = np.einsum("ndk,nk->nd", g3, vd)
-            u._accumulate(du[0] if squeeze else du, owned=True)
+            u._accumulate(np.einsum("ndk,nk->nd", g3, vd), owned=True)
         if v.tape is not None:
-            dv = np.einsum("ndk,nd->nk", g3, ud)
-            v._accumulate(dv[0] if squeeze else dv, owned=True)
+            v._accumulate(np.einsum("ndk,nd->nk", g3, ud), owned=True)
 
-    return _make("outer_flatten", out[0] if squeeze else out, tape, backward)
+    return _make("outer_flatten", out, tape, backward)

@@ -27,7 +27,7 @@ from .data import (LabeledDataset, SyntheticPairConfig, UnlabeledDataset,
 from .errors import ContractError, FormatError, NonFiniteValue
 from .models import load_checkpoint, save_checkpoint
 from .train import VARIANTS, TrainConfig, evaluate, train_clarinet, write_metrics_csv
-from .verify import report_json, run_suite
+from .verify import run_suite
 
 # the config name of a TrainConfig field, where the two differ
 _CONFIG_NAMES = {"t_max": "epochs", "t_s": "ts", "batch_size": "batch"}
@@ -91,21 +91,35 @@ _FILE_FIELDS = {
     "prepared": ("manifest", "source_csv", "target_csv"),
 }
 
+# the keys each task type reads, besides "type"
+_TASK_KEYS = {
+    "synthetic": (*(f.name for f in dataclasses.fields(SyntheticPairConfig)), "subsample"),
+    "idx": (*_FILE_FIELDS["idx"], "subsample"),
+    "prepared": _FILE_FIELDS["prepared"],
+}
+
 
 def _require_task(task):
-    """The config's task must be an object; the file fields of an ``idx``
-    or ``prepared`` task must each be a non-empty string (an integer would be
-    opened as a file descriptor), and the fields of a ``synthetic`` task must
-    be valid generator fields.  The manifest and the run summaries echo the
-    task, also its keys that nothing reads, so it must hold only finite
-    numbers: strict JSON has no NaN."""
+    """The config's task must be an object holding only the keys its type
+    reads; the file fields of an ``idx`` or ``prepared`` task must each be a
+    non-empty string (an integer would be opened as a file descriptor), and
+    the fields of a ``synthetic`` task must be valid generator fields.  The
+    manifest and the run summaries echo the task, so it must hold only
+    finite numbers: strict JSON has no NaN."""
     if not isinstance(task, dict):
         raise ContractError("config needs a 'task' object, got %r" % (task,))
-    for name in _FILE_FIELDS.get(task.get("type"), ()):
+    kind = task.get("type")
+    if kind in _TASK_KEYS:
+        known = {"type", *_TASK_KEYS[kind]}
+        unknown = sorted(set(task) - known)
+        if unknown:
+            raise ContractError("unknown %s task keys %s; known keys are %s"
+                                % (kind, ", ".join(unknown), ", ".join(sorted(known))))
+    for name in _FILE_FIELDS.get(kind, ()):
         value = task.get(name)
         if not (isinstance(value, str) and value):
             raise ContractError("task.%s must be a non-empty string, got %r" % (name, value))
-    if task.get("type") == "synthetic":
+    if kind == "synthetic":
         # a non-finite generator field is named by its own message
         _synthetic_config(task)
     try:
@@ -124,10 +138,9 @@ def _is_number(value):
 
 
 def _check_type(name, value, default):
-    """``value`` if it has the type of ``default``, a pair as a tuple: true
-    or false for a bool, an integer for an int, a finite number (an int may
-    stand for it) for a float, a string for a str, a list of two finite
-    numbers for a tuple and a non-empty list of integers for a list."""
+    """``value`` if it has the type of ``default``: true or false for a bool,
+    an integer for an int, a finite number (an int may stand for it) for a
+    float, a string for a str and a non-empty list of integers for a list."""
     if isinstance(default, bool):
         ok, kind = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
@@ -136,15 +149,12 @@ def _check_type(name, value, default):
         ok, kind = _is_number(value), "a finite number"
     elif isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
-    elif isinstance(default, tuple):
-        ok = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
-        kind = "a list of two finite numbers"
     else:
         ok = isinstance(value, list) and bool(value) and all(map(_is_int, value))
         kind = "a non-empty list of integers"
     if not ok:
         raise ContractError("%s must be %s, got %r" % (name, kind, value))
-    return tuple(value) if isinstance(default, tuple) else value
+    return value
 
 
 def _resolve(args, **defaults):
@@ -327,7 +337,7 @@ def cmd_verify(args):
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     report = run_suite(args.suite, seed=seed)
-    text = report_json(report)
+    text = json.dumps(report, indent=2)
     print(text)
     if args.out:
         with open(Path(args.out) / ("verify_%s.json" % args.suite), "w") as fh:

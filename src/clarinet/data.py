@@ -65,7 +65,6 @@ class SyntheticPairConfig:
     n_per_domain: int = 2000
     spread: float = 0.3
     rotation_deg: float = 30.0
-    translation: tuple = (0.0, 0.0)
     radius: float = 2.0
     seed: int = 0
 
@@ -163,8 +162,8 @@ def write_idx(images_path, labels_path, dataset: LabeledDataset, rows: int, cols
 
 
 def make_synthetic_pair(config: SyntheticPairConfig):
-    """Gaussian clusters on a circle; the target is the source law rotated and
-    translated.  Target labels are retained for evaluation only.
+    """Gaussian clusters on a circle; the target is the source law rotated.
+    Target labels are retained for evaluation only.
     """
     rng = np.random.default_rng(config.seed)
     K, n = config.K, config.n_per_domain
@@ -181,7 +180,7 @@ def make_synthetic_pair(config: SyntheticPairConfig):
     theta = np.deg2rad(config.rotation_deg)
     rot = np.array([[np.cos(theta), -np.sin(theta)],
                     [np.sin(theta), np.cos(theta)]])
-    tgt_pts = tgt_pts @ rot.T + np.asarray(config.translation, dtype=np.float64)
+    tgt_pts = tgt_pts @ rot.T
     source = LabeledDataset(features=src_pts, labels=src_labels, K=K, name="synthetic-source")
     target = LabeledDataset(features=tgt_pts, labels=tgt_labels, K=K, name="synthetic-target")
     return source, target
@@ -224,16 +223,20 @@ def _bad_row(path, rows) -> str:
 
 
 def read_csv(path):
-    """Features and integer labels (None without a label column); a value
-    that is not a number, a feature that is NaN or infinite, a row of
+    """Features and integer labels (None without a label column) of a UTF-8
+    file with no comments; bytes that are not UTF-8, a value that is not a
+    number (``#`` included), a feature that is NaN or infinite, a row of
     another width than the others or the header, or a label that is not a
-    whole number is a FormatError, never truncated.  A file with no data
-    rows gives empty arrays, without NumPy's no-data warning."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line for line in fh if line.strip()]
+    whole number within int64 is a FormatError, never truncated.  A file
+    with no data rows gives empty arrays, without NumPy's no-data warning."""
     try:
-        body = (np.loadtxt(rows, delimiter=",", ndmin=2) if rows
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line for line in fh if line.strip()]
+    except UnicodeDecodeError:
+        raise FormatError("%s: not UTF-8 text" % path) from None
+    try:
+        body = (np.loadtxt(rows, delimiter=",", ndmin=2, comments=None) if rows
                 else np.empty((0, len(header))))
     except ValueError:
         raise FormatError(_bad_row(path, rows)) from None
@@ -253,6 +256,12 @@ def read_csv(path):
         if bad.size:
             row = bad[0]
             raise FormatError("%s: data row %d has non-integer label %r"
+                              % (path, row + 1, float(labels[row])))
+        # int64 holds -2**63 .. 2**63 - 1; the float64 nearest 2**63 - 1 is 2**63
+        bad = np.flatnonzero((labels < -2.0 ** 63) | (labels >= 2.0 ** 63))
+        if bad.size:
+            row = bad[0]
+            raise FormatError("%s: data row %d has label %r, outside int64"
                               % (path, row + 1, float(labels[row])))
         return features, labels.astype(np.int64)
     return features, None

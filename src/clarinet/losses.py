@@ -189,10 +189,9 @@ def adversarial_loss(d: Tensor, w_source: np.ndarray, w_target: np.ndarray) -> T
     scale = np.concatenate([w_source / w_source.sum(), w_target / w_target.sum()])
 
     def backward(g):
-        if d.tape is not None:
-            dp = g * scale / u
-            dp[n_s:] *= -1.0
-            dp *= (x >= eps) & (x <= 1.0 - eps)
-            d._accumulate(dp.reshape(d.shape), owned=True)
+        dp = g * scale / u
+        dp[n_s:] *= -1.0
+        dp *= (x >= eps) & (x <= 1.0 - eps)
+        d._accumulate(dp.reshape(d.shape), owned=True)
 
     return ad._make("adversarial_loss", (scale * np.log(u)).sum(), tape, backward)

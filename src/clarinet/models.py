@@ -133,9 +133,8 @@ def conditional_feature(g: Tensor, f: Tensor, l: float) -> Tensor:
 
 
 def predict(triplet: NetworkTriplet, features: np.ndarray) -> np.ndarray:
-    """Class probabilities from F(G(x)); rows on the simplex."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return triplet.F.forward(None, triplet.G.forward(None, Tensor(x))).data
+    """Class probabilities from F(G(x)) for an n x d array; rows on the simplex."""
+    return triplet.F.forward(None, triplet.G.forward(None, Tensor(features))).data
 
 
 def pseudo_label(triplet: NetworkTriplet, features: np.ndarray) -> np.ndarray:
@@ -204,7 +203,7 @@ def load_checkpoint(path) -> NetworkTriplet:
     is unknown, repeated or missing, or holds a NaN or infinite value."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
-            raise FormatError("not a checkpoint file: bad magic")
+            raise FormatError("%s: not a checkpoint file: bad magic" % path)
 
         def u32():
             return struct.unpack("<I", read_exact(fh, 4, path))[0]
@@ -240,8 +239,8 @@ def load_checkpoint(path) -> NetworkTriplet:
             ndim = u32()
             shape = struct.unpack("<%dI" % ndim, read_exact(fh, 4 * ndim, path))
             if shape != param.value.shape:
-                raise FormatError("checkpoint tensor %s has shape %s, expected %s"
-                                  % (name, shape, param.value.shape))
+                raise FormatError("%s: checkpoint tensor %s has shape %s, expected %s"
+                                  % (path, name, shape, param.value.shape))
             values = np.frombuffer(read_exact(fh, 8 * param.value.size, path), dtype="<f8")
             if not np.isfinite(values).all():
                 raise FormatError("%s: checkpoint tensor %s holds a non-finite value"

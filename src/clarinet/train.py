@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,9 +127,6 @@ def sgd_step(params, lr: float, momentum: float = 0.0, weight_decay: float = 0.0
 
 def lambda_schedule(p: float, gain: float = 10.0) -> float:
     """Adversarial tradeoff ramp 2/(1+exp(-gain*p)) - 1 on progress p in [0,1]."""
-    if not 0.0 <= p <= 1.0:
-        warnings.warn("schedule progress %r outside [0,1]; clamping" % p)
-        p = min(max(p, 0.0), 1.0)
     return 2.0 / (1.0 + math.exp(-gain * p)) - 1.0
 
 
@@ -160,7 +156,7 @@ def _classifier_step(triplet, feats, labels, config):
     per_class = total_comp_loss(f, labels, VARIANTS[config.variant].objective)
     negative = per_class.data < 0.0
     ascend = config.correction_enabled and bool(negative.any())
-    l_neg = float((per_class.data * negative).sum()) if negative.any() else 0.0
+    l_neg = float((per_class.data * negative).sum())
     side.zero_grad()
     tape.backward(ad.tsum(per_class * negative) if ascend else ad.tsum(per_class))
     sgd_step([side], config.gamma1, config.momentum, config.weight_decay, ascend=ascend)
@@ -191,10 +187,8 @@ def _adversarial_step(triplet, src_feats, tgt_feats, lam, config):
     tape.backward(loss)
     # D descends directly; the reversal layer has already scaled the classifier
     # gradient by -lam, so a plain descent there realizes the ascent.
-    sgd_step([triplet.discriminator_side], config.gamma2, config.momentum,
-             config.weight_decay)
-    sgd_step([triplet.classifier_side], config.gamma2, config.momentum,
-             config.weight_decay)
+    sgd_step([triplet.discriminator_side, triplet.classifier_side], config.gamma2,
+             config.momentum, config.weight_decay)
     return loss.item()
 
 

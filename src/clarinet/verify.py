@@ -5,7 +5,6 @@ finite-difference audit of every differentiable operation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,7 +346,3 @@ def run_suite(name: str, seed: int = 0) -> dict:
     if not checks:
         raise ContractError("unknown suite %r" % name)
     return {"suite": name, "passed": all(c["pass"] for c in checks), "checks": checks}
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2)

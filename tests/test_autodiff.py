@@ -262,23 +262,27 @@ class TestGradReverse:
 
 class TestOuterFlatten:
     def test_basis_vector(self):
-        out = ad.outer_flatten(Tensor([1.0, 0.0]), Tensor([0.3, 0.7]))
-        assert np.allclose(out.data, [0.3, 0.7, 0.0, 0.0])
+        out = ad.outer_flatten(Tensor([[1.0, 0.0]]), Tensor([[0.3, 0.7]]))
+        assert np.allclose(out.data, [[0.3, 0.7, 0.0, 0.0]])
 
     def test_symmetry(self):
-        out = ad.outer_flatten(Tensor([1.0, 1.0]), Tensor([0.5, 0.5]))
-        assert np.allclose(out.data, [0.5, 0.5, 0.5, 0.5])
+        out = ad.outer_flatten(Tensor([[1.0, 1.0]]), Tensor([[0.5, 0.5]]))
+        assert np.allclose(out.data, [[0.5, 0.5, 0.5, 0.5]])
 
     def test_gradient_wrt_u_is_sum_v(self):
-        v = np.array([0.2, 0.5, 0.3])
+        v = np.array([[0.2, 0.5, 0.3]])
         tape = Tape()
-        u = Tensor([1.3, -0.2], tape=tape)
+        u = Tensor([[1.3, -0.2]], tape=tape)
         tape.backward(ad.tsum(ad.outer_flatten(u, Tensor(v))))
         assert np.allclose(u.grad, v.sum())
 
     def test_empty_operand_rejected(self):
         with pytest.raises(ContractError):
             ad.outer_flatten(Tensor(np.ones((2, 0))), Tensor(np.ones((2, 3))))
+
+    def test_one_dimensional_operands_rejected(self):
+        with pytest.raises(ShapeMismatch, match=r"\(2,\) and \(2,\)"):
+            ad.outer_flatten(Tensor([1.0, 0.0]), Tensor([0.3, 0.7]))
 
 
 def test_random_op_gradients_match_finite_differences():

@@ -93,7 +93,7 @@ class TestPrepare:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_task_number_exits_2(self, tmp_path, capsys, value):
         # the manifest echoes the task, and strict JSON has no NaN
-        cfg = write_config(tmp_path, task=dict(SMALL_TASK, note=value))
+        cfg = write_config(tmp_path, task=dict(SMALL_TASK, subsample=value))
         out = tmp_path / "prepared"
         assert main(["prepare", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error: task must hold only finite numbers" in capsys.readouterr().err
@@ -266,7 +266,7 @@ class TestTrain:
 
     def test_non_finite_task_number_exits_2(self, tmp_path, capsys):
         # every summary echoes the task, and strict JSON has no NaN
-        cfg = write_config(tmp_path, task=dict(SMALL_TASK, note=float("nan")))
+        cfg = write_config(tmp_path, task=dict(SMALL_TASK, subsample=float("nan")))
         out = tmp_path / "r"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error: task must hold only finite numbers" in capsys.readouterr().err
@@ -380,8 +380,6 @@ class TestTaskFields:
         ("spread", "wide", "a finite number"),
         ("rotation_deg", None, "a finite number"),
         ("radius", float("inf"), "a finite number"),
-        ("translation", [1.0], "a list of two finite numbers"),
-        ("translation", [1.0, "up"], "a list of two finite numbers"),
     ])
     def test_wrong_field_type_exits_2(self, tmp_path, capsys, verb, field, value, kind):
         cfg = write_config(tmp_path, task=dict(SMALL_TASK, **{field: value}))
@@ -399,7 +397,7 @@ class TestTaskFields:
 
     def test_absent_fields_take_the_generator_defaults(self, tmp_path):
         cfg = write_config(tmp_path, task={"type": "synthetic", "n_per_domain": 50,
-                                           "translation": [1, 0]})
+                                           "radius": 1})
         out = tmp_path / "p"
         assert main(["prepare", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["K"] == 4
@@ -553,6 +551,7 @@ class TestCheckpointFailsClosed:
         cut = min(int(len(blob) * fraction), len(blob) - 1)
         code, err = self.eval_bytes(tmp_path, capsys, blob[:cut])
         assert code == 2
+        assert err.startswith("config error: %s: " % (tmp_path / "bad.ckpt"))
         assert "truncated file" in err or "bad magic" in err
 
     def test_trailing_bytes_exit_2(self, tmp_path, capsys, saved_model):
@@ -564,13 +563,17 @@ class TestCheckpointFailsClosed:
         (b"G.w0", b"G.x0", "unknown checkpoint tensor name 'G.x0'"),
         (b"G.b0", b"G.w0", "repeated checkpoint tensor name 'G.w0'"),
         (b'{"G"', b'["G"', "checkpoint header is not JSON"),
+        pytest.param(b"G.w0" + struct.pack("<III", 2, 2, 8),
+                     b"G.w0" + struct.pack("<III", 2, 8, 2),
+                     "checkpoint tensor G.w0 has shape (8, 2), expected (2, 8)",
+                     id="G.w0-transposed-checkpoint tensor G.w0 has shape"),
     ])
     def test_bad_tensor_names_exit_2(self, tmp_path, capsys, saved_model, old, new, message):
         blob = saved_model[0].read_bytes()
         assert old in blob and len(old) == len(new)
         code, err = self.eval_bytes(tmp_path, capsys, blob.replace(old, new, 1))
         assert code == 2
-        assert message in err
+        assert "config error: %s: %s" % (tmp_path / "bad.ckpt", message) in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m["F"].update(head="softmix"), "unknown head"),
@@ -626,11 +629,20 @@ def test_eval_names_an_empty_csv(tmp_path, capsys, saved_model):
 @pytest.mark.parametrize("row, shown", [
     ("1.0,abc,1", "data row 1, column 2: 'abc' is not a number"),
     ("1.0,2.0", "data row 2 has 2 values, data row 1 has 3"),
+    ("# 1.0,2.0,1", "data row 1, column 1: '# 1.0' is not a number"),
+    ("1.0,2.0,1 # one", "data row 1, column 3: '1 # one' is not a number"),
+    ("1.0,2.0,1e300", "data row 1 has label 1e+300, outside int64"),
+    ("1.0,\xff,1", "not UTF-8 text"),
 ])
 def test_eval_names_a_bad_csv_row(tmp_path, capsys, saved_model, row, shown):
+    # latin-1 writes each character as one byte: the ASCII rows as UTF-8, and
+    # \xff as a byte that is not UTF-8
     bad = tmp_path / "bad.csv"
-    bad.write_text("x0,x1,label\n" + ("0.5,0.5,1\n" if "values" in shown else "") + row + "\n")
-    assert main(["eval", str(saved_model[0]), str(bad)]) == 2
+    text = "x0,x1,label\n" + ("0.5,0.5,1\n" if "values" in shown else "") + row + "\n"
+    bad.write_bytes(text.encode("latin-1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", str(saved_model[0]), str(bad)]) == 2
     assert capsys.readouterr().err == "config error: %s: %s\n" % (bad, shown)
 
 
@@ -710,6 +722,27 @@ def idx_task(tmp_path):
         write_idx(images, labels, ds, 2, 2)
         task.update({domain + "_images": str(images), domain + "_labels": str(labels)})
     return task
+
+
+class TestTaskKeys:
+    """A task holds only the keys its type reads; a misspelt or retired key
+    would otherwise be ignored, and echoed as if it had been used."""
+
+    @pytest.mark.parametrize("verb", ["prepare", "train"])
+    @pytest.mark.parametrize("task, key, value", [
+        (SMALL_TASK, "rotaton_deg", 90),
+        (SMALL_TASK, "translation", [1, 0]),
+        (TestTaskFiles.TASKS["idx"], "K", 10),
+        (TestTaskFiles.TASKS["prepared"], "subsample", 10),
+    ])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, verb, task, key, value):
+        cfg = write_config(tmp_path, task=dict(task, **{key: value}))
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown %s task keys %s; known keys are "
+                              % (task["type"], key))
+        assert not out.exists()
 
 
 class TestSubsample:

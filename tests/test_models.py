@@ -3,7 +3,7 @@ import pytest
 
 from clarinet.autodiff import Tape, Tensor
 import clarinet.autodiff as ad
-from clarinet.errors import ContractError
+from clarinet.errors import ContractError, ShapeMismatch
 from clarinet.models import (NetworkSpec, build_triplet, conditional_feature,
                              default_specs, load_checkpoint, predict,
                              pseudo_label, save_checkpoint)
@@ -53,16 +53,16 @@ class TestBuild:
 
 class TestConditionalFeature:
     def test_identity_temperature_basis_feature(self):
-        out = conditional_feature(Tensor([1.0, 0.0]), Tensor([0.5, 0.5]), 1.0)
-        assert np.allclose(out.data, [0.5, 0.5, 0.0, 0.0])
+        out = conditional_feature(Tensor([[1.0, 0.0]]), Tensor([[0.5, 0.5]]), 1.0)
+        assert np.allclose(out.data, [[0.5, 0.5, 0.0, 0.0]])
 
     def test_scatter_then_outer_by_hand(self):
-        out = conditional_feature(Tensor([1.0, 1.0]), Tensor([0.2, 0.8]), 0.5)
-        assert np.allclose(out.data, [0.0588, 0.9412, 0.0588, 0.9412], atol=5e-5)
+        out = conditional_feature(Tensor([[1.0, 1.0]]), Tensor([[0.2, 0.8]]), 0.5)
+        assert np.allclose(out.data, [[0.0588, 0.9412, 0.0588, 0.9412]], atol=5e-5)
 
     def test_identity_temperature_reproduces_plain_conditioning(self):
-        g = np.array([0.4, -1.2, 0.7])
-        f = np.array([0.3, 0.7])
+        g = np.array([[0.4, -1.2, 0.7]])
+        f = np.array([[0.3, 0.7]])
         out = conditional_feature(Tensor(g), Tensor(f), 1.0)
         assert np.abs(out.data - np.outer(g, f).ravel()).max() < 1e-12
 
@@ -92,6 +92,10 @@ class TestPredict:
         t = small_triplet()
         p = predict(t, np.random.default_rng(1).normal(size=(20, 2)))
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeMismatch, match=r"2-D input of width 2, got \(2,\)"):
+            predict(small_triplet(), np.zeros(2))
 
     def test_pseudo_label_argmax(self):
         probs = np.array([0.1, 0.7, 0.2])
@@ -127,5 +131,6 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"nope" + b"\x00" * 32)
         from clarinet.errors import FormatError
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError) as info:
             load_checkpoint(path)
+        assert str(info.value) == "%s: not a checkpoint file: bad magic" % path

@@ -109,10 +109,6 @@ class TestLambdaSchedule:
         vals = [lambda_schedule(p) for p in np.linspace(0, 1, 50)]
         assert np.all(np.diff(vals) > 0)
 
-    def test_out_of_range_clamps_and_warns(self):
-        with pytest.warns(UserWarning, match="clamping"):
-            assert lambda_schedule(1.5) == lambda_schedule(1.0)
-
 
 class TestAlgorithmMechanics:
     def test_discriminator_frozen_until_start_epoch(self):
