@@ -182,11 +182,10 @@ def hold_heap():
     8 MB block keeps up to 16 MB of free heap from then on.  The largest
     working set is the Monte-Carlo oracle's 100k x 4 batch: while
     ``weighted_ce`` scores it, the batch, its (1 + ``BLOCK_ROWS``) x 4 block
-    buffer, one block of gathered coefficients and two 100k-entry int64
-    vectors (the points and the labels) are live, and one oracle call
-    peaks at 5.3 MiB as tracemalloc counts it (8.1 MiB while a full-size
-    cross-entropy buffer was live too).  Minor faults, NumPy 2.4.6 on 2
-    vCPUs:
+    buffer, one block of gathered coefficients, the 100k one-byte points
+    and the 100k int64 labels are live, and one oracle call peaks at 4.7
+    MiB as tracemalloc counts it (8.1 MiB while a full-size cross-entropy
+    buffer was live too).  Minor faults, NumPy 2.4.6 on 2 vCPUs:
 
     - per warm ``verify all`` call (median of 20, range 0-7): about 1.5
       with no hold or a 4 MB block, 1 with an 8 or a 16 MB block; with the
@@ -420,7 +419,11 @@ def mlp(tape, x, weights, biases, head="none"):
     Order contract: values and gradients equal, bit for bit, those of the
     per-op chain ``matmul(h, w, b)``, ``relu``, ..., head.  The forward runs
     the same IEEE operations in the same order (relu in place on the fresh
-    affine output) and checks each layer's output under that op's name.  The
+    affine output) and checks each affine output under the name ``matmul``.
+    Only that check can fire: relu and either head map finite values to
+    finite values (the softmax's row sums are at least exp(0) = 1, and both
+    heads lie in [0, 1]), so a non-finite value is named ``matmul`` at the
+    first layer where it appears, as the per-op chain names it.  The
     backward replays the per-op rules and adds each parameter's gradient into
     ``Parameter.grad``.  It skips the ``+ 0.0`` of each intermediate first
     gradient: that only turns -0.0 into +0.0, which no later product or sum
@@ -444,10 +447,10 @@ def mlp(tape, x, weights, biases, head="none"):
         _check_finite("matmul", h)
         if i < last:
             masks.append(h > 0.0)
-            _check_finite("relu", np.multiply(h, masks[-1], out=h))
+            np.multiply(h, masks[-1], out=h)
     fns = _HEADS[head]
     if fns is not None:
-        h = _check_finite(head, fns[0](h))
+        h = fns[0](h)
     out = Tensor(h, tape=tape)
     if tape is None:
         return out

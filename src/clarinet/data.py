@@ -203,6 +203,18 @@ def write_csv(path, features: np.ndarray, labels=None):
     np.savetxt(path, body, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
+def _is_number(value) -> bool:
+    """Whether ``np.loadtxt`` reads the field ``value`` as one number.  It
+    rejects some values that ``float()`` accepts, such as ``1_0`` and
+    non-ASCII digits; a blank field, which it would read as no data with a
+    warning, is not a number."""
+    try:
+        return (bool(value.strip())
+                and np.loadtxt([value], delimiter=",", comments=None).size == 1)
+    except ValueError:
+        return False
+
+
 def _bad_row(path, rows) -> str:
     """Why ``np.loadtxt`` rejected ``rows``: the first field that is not a
     number, or the first row whose width differs from the first row's."""
@@ -210,9 +222,7 @@ def _bad_row(path, rows) -> str:
     for i, line in enumerate(rows, start=1):
         fields = line.split(",")
         for j, value in enumerate(fields, start=1):
-            try:
-                float(value)
-            except ValueError:
+            if not _is_number(value):
                 return ("%s: data row %d, column %d: %r is not a number"
                         % (path, i, j, value.strip()))
         width = width or len(fields)

@@ -146,13 +146,13 @@ def evaluate(model, dataset: LabeledDataset) -> float:
 def _classifier_step(triplet, feats, labels, config):
     """Lines 5-13 of the per-iteration loop for the variant's objective: descend
     its total, or ascend its negative part when a class goes negative (which
-    cross-entropy never does); returns (loss, l_neg, ascended)."""
+    cross-entropy never does) on ``labels``, int64 in {1..K}; returns (loss,
+    l_neg, ascended)."""
     tape = Tape()
     g = triplet.G.forward(tape, Tensor(feats))
     f = triplet.F.forward(tape, g)
     side = triplet.classifier_side
 
-    labels = partition_batch(labels, config.K)
     per_class = total_comp_loss(f, labels, VARIANTS[config.variant].objective)
     negative = per_class.data < 0.0
     ascend = config.correction_enabled and bool(negative.any())
@@ -196,10 +196,12 @@ def _run_loop(triplet, source: ComplementaryDataset, labels, target,
               config: TrainConfig, eval_data, epoch_callback=None):
     """Shared epoch/iteration loop of every variant: ``VARIANTS[config.variant]``
     picks the classifier objective and the adversary, and ``labels`` holds, per
-    source row, the labels its objective reads (complementary or pseudo)."""
+    source row, the labels its objective reads (complementary or pseudo),
+    checked once before the first step."""
     variant = VARIANTS[config.variant]
     if source.K != config.K:
         raise ContractError("source K=%d != config K=%d" % (source.K, config.K))
+    labels = partition_batch(labels, config.K)
     ad.hold_heap()
     rng_src = np.random.default_rng([config.seed, 1])
     rng_tgt = np.random.default_rng([config.seed, 2])

@@ -184,6 +184,19 @@ class TestGradientRules:
         assert c.grad is None and cw.grad is None and cb.grad is None
         assert x.grad is not None and w.grad is not None
 
+    @pytest.mark.parametrize("op", ["sub", "div"])
+    def test_first_operand_gradient_matches_finite_differences(self, op):
+        # the oracle's sub and div checks differentiate the second operand
+        # only (a - t, a / t); here the first is on the tape, c a constant
+        rng = np.random.default_rng(3)
+        x0 = rng.normal(size=(3, 4))
+        c = np.abs(rng.normal(size=(3, 4))) + 0.5
+        upstream = rng.normal(size=(3, 4))
+        apply = (lambda x: x - c) if op == "sub" else (lambda x: x / c)
+        analytic = scalar_grad(lambda x: ad.tsum(apply(x) * upstream), x0)
+        numeric = finite_difference(lambda x: float((apply(x) * upstream).sum()), x0)
+        assert relative_error(analytic, numeric) < 1e-4
+
     def test_self_add_doubles_and_leaves_the_parent_gradient(self):
         tape = Tape()
         x = Tensor([1.0, -2.0, 0.5], tape=tape)

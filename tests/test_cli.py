@@ -633,13 +633,16 @@ def test_eval_names_an_empty_csv(tmp_path, capsys, saved_model):
     ("1.0,2.0,1 # one", "data row 1, column 3: '1 # one' is not a number"),
     ("1.0,2.0,1e300", "data row 1 has label 1e+300, outside int64"),
     ("1.0,\xff,1", "not UTF-8 text"),
+    # float() reads these two, np.loadtxt does not
+    ("1.0,1_0,1", "data row 1, column 2: '1_0' is not a number"),
+    ("1.0,\u0661,1", "data row 1, column 2: '\u0661' is not a number"),
 ])
 def test_eval_names_a_bad_csv_row(tmp_path, capsys, saved_model, row, shown):
-    # latin-1 writes each character as one byte: the ASCII rows as UTF-8, and
-    # \xff as a byte that is not UTF-8
+    # latin-1 writes \xff as one byte, which is not UTF-8; the other rows are
+    # written as UTF-8
     bad = tmp_path / "bad.csv"
     text = "x0,x1,label\n" + ("0.5,0.5,1\n" if "values" in shown else "") + row + "\n"
-    bad.write_bytes(text.encode("latin-1"))
+    bad.write_bytes(text.encode("latin-1" if "\xff" in row else "utf-8"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["eval", str(saved_model[0]), str(bad)]) == 2

@@ -11,10 +11,11 @@ import pytest
 
 import clarinet
 import clarinet.autodiff as ad
+import clarinet.train as train_mod
 from clarinet.autodiff import Parameter, Tape, Tensor
 from clarinet.complabel import partition_batch
 from clarinet.data import (LabeledDataset, SyntheticPairConfig, UnlabeledDataset,
-                           make_synthetic_pair)
+                           batches, make_synthetic_pair)
 from clarinet.errors import ContractError, NonFiniteValue
 from clarinet.losses import (PROB_FLOOR, adversarial_loss, cross_entropy_to_class,
                              entropy_weight, scatter_map, total_comp_loss)
@@ -260,6 +261,21 @@ class TestAlgorithmMechanics:
         source, tgt = synthetic_task()
         with pytest.raises(ContractError, match="K"):
             train_clarinet(source, None, small_config(K=5, variant="gac"))
+
+    def test_label_edited_out_of_range_fails_before_any_step(self, monkeypatch):
+        # the labels are checked once before epoch 1: a label moved out of
+        # {1..K} after the dataset was built, here in the first epoch's last
+        # batch, stops the run before any parameter moves
+        source, _ = synthetic_task()
+        config = small_config(variant="gac")
+        last = batches(len(source), config.batch_size,
+                       np.random.default_rng([config.seed, 1]))[-1]
+        source.comp_labels[last[0]] = config.K + 1
+        steps = []
+        monkeypatch.setattr(train_mod, "sgd_step", lambda *args, **kw: steps.append(args))
+        with pytest.raises(ContractError, match="out of range"):
+            train_clarinet(source, None, config)
+        assert steps == []
 
     def test_invalid_config_values(self):
         with pytest.raises(ContractError):

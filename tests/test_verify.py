@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import clarinet.verify as verify_mod
 from clarinet.errors import ContractError
+from clarinet.losses import PROB_FLOOR
 from clarinet.verify import (DiscreteDomain, _complementary_labels, _draw_points,
                              exact_unbiasedness, finite_difference, gradcheck_suite,
                              monte_carlo_unbiasedness, relative_error, run_suite)
@@ -248,9 +249,10 @@ class TestMonteCarlo:
         out = monte_carlo_unbiasedness(domain, predictor, 100_000, seed=0)
         assert tuple(map(float.hex, out)) == self.PINNED_K10
 
-    def test_one_call_at_100k_peaks_below_6_mib(self):
+    def test_one_call_at_100k_peaks_below_5_mib(self):
         # scored in blocks, no batch-sized CE buffer is alive beside the
-        # batch (8.1 MiB with one)
+        # batch (8.1 MiB with one), and the points are one byte each
+        # (5.3 MiB with int64 points)
         rng = np.random.default_rng(5)
         domain = random_domain(rng, 8, 4)
         predictor = rng.dirichlet(np.ones(4), size=8)
@@ -262,7 +264,24 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before < 6 << 20
+        assert peak - before < 5 << 20
+
+    def test_standard_error_over_more_cells_than_a_byte_indexes(self):
+        # 30 points x 10 classes: the flat index into the CE table runs past
+        # 255 while the points fit in one byte
+        rng = np.random.default_rng(8)
+        m, K, n = 30, 10, 20_000
+        domain = random_domain(rng, m, K)
+        predictor = rng.dirichlet(np.ones(K), size=m)
+        emp, true_risk, z = monte_carlo_unbiasedness(domain, predictor, n, seed=0)
+        draws = np.random.default_rng(0)
+        xs = draws.choice(m, n, p=domain.weights)
+        ybar = argmax_labels(domain.posteriors, xs, draws.random(n),
+                             draws.integers(1, K, size=n))
+        ce = -np.log(np.clip(predictor, PROB_FLOOR, 1.0))
+        psi = ce[xs].sum(axis=1) - (K - 1.0) * ce[xs, ybar - 1]
+        se = psi.std(ddof=1) / np.sqrt(n)
+        assert (emp - true_risk) / z == pytest.approx(se, rel=1e-9)
 
     def test_z_within_normal_range(self):
         rng = np.random.default_rng(3)
