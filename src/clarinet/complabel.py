@@ -1,6 +1,6 @@
-"""Complementary-label machinery: the class-transition matrix and its closed-form
-inverse, uniform complementary-label generation, posterior recovery, and the
-per-batch label check.
+"""Complementary-label machinery: the dataset rule, the class-transition
+matrix and its closed-form inverse, uniform complementary-label generation,
+posterior recovery, and the per-batch label check.
 
 Labels are 1-based throughout ({1..K}), matching the dataset convention.
 """
@@ -13,6 +13,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
+
+
+def check_dataset(name: str, features=None, labels=None, K=None, what: str = "labels"):
+    """The dataset rule: n >= 1 rows of n x d float64 ``features`` and one int64 label
+    per row in {1..K}, K >= 2, each part checked if given.  Returns both, converted."""
+    if K is not None and K < 2:
+        raise ContractError("dataset %r: K must be >= 2, got %r" % (name, K))
+    if features is not None:
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2:
+            raise ContractError("dataset %r: features not n x d: %s" % (name, features.shape))
+    n = len(features) if features is not None else np.size(labels)
+    if n < 1:
+        raise ContractError("dataset %r is empty" % name)
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (n,):
+            raise ContractError("dataset %r has %d rows, %s %s" % (name, n, what, labels.shape))
+        if labels.min() < 1 or labels.max() > K:
+            raise ContractError("dataset %r: %s out of range {1..%d}" % (name, what, K))
+    return features, labels
 
 
 @dataclass(frozen=True)
@@ -59,18 +80,14 @@ class ComplementaryDataset:
     _true_labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.comp_labels = np.asarray(self.comp_labels, dtype=np.int64)
-        if self.K < 2:
-            raise ContractError("ComplementaryDataset requires K >= 2")
-        if len(self.comp_labels) < 1:
-            raise ContractError("dataset %r is empty" % self.name)
-        if self.comp_labels.min() < 1 or self.comp_labels.max() > self.K:
-            raise ContractError("complementary labels out of range {1..%d}" % self.K)
+        # true labels first: generate_complementary draws the others from them
         if self._true_labels is not None:
-            self._true_labels = np.asarray(self._true_labels, dtype=np.int64)
-            if np.any(self._true_labels == self.comp_labels):
-                raise ContractError("a complementary label equals its true label")
+            self._true_labels = check_dataset(self.name, self.features, self._true_labels,
+                                              self.K, "true labels")[1]
+        self.features, self.comp_labels = check_dataset(
+            self.name, self.features, self.comp_labels, self.K, "complementary labels")
+        if self._true_labels is not None and np.any(self._true_labels == self.comp_labels):
+            raise ContractError("a complementary label equals its true label")
 
     def __len__(self):
         return len(self.comp_labels)
@@ -85,16 +102,12 @@ class ComplementaryDataset:
 def generate_complementary(features, true_labels, K: int, rng: np.random.Generator,
                            name: str = "") -> ComplementaryDataset:
     """Draw one complementary label per sample, uniform over the K-1 wrong classes."""
-    if K < 2:
-        raise ContractError("generate_complementary requires K >= 2")
+    features, _ = check_dataset(name, features, K=K)
     true_labels = np.asarray(true_labels, dtype=np.int64)
-    if true_labels.min() < 1 or true_labels.max() > K:
-        raise ContractError("true labels out of range {1..%d}" % K)
     # offset in {1..K-1} past the true label, wrapped, skips the true class exactly
-    offsets = rng.integers(1, K, size=len(true_labels))
+    offsets = rng.integers(1, K, size=true_labels.shape)
     comp = (true_labels - 1 + offsets) % K + 1
-    return ComplementaryDataset(features=np.asarray(features, dtype=np.float64),
-                                comp_labels=comp, K=K, name=name,
+    return ComplementaryDataset(features=features, comp_labels=comp, K=K, name=name,
                                 _true_labels=true_labels)
 
 
@@ -110,11 +123,5 @@ def recover_posterior(eta_bar: np.ndarray) -> np.ndarray:
 
 
 def partition_batch(comp_labels, K: int) -> np.ndarray:
-    """A minibatch's complementary labels as int64, checked: at least one,
-    each in {1..K}."""
-    comp_labels = np.asarray(comp_labels, dtype=np.int64)
-    if len(comp_labels) == 0:
-        raise ContractError("partition_batch got an empty minibatch")
-    if comp_labels.min() < 1 or comp_labels.max() > K:
-        raise ContractError("labels out of range {1..%d}" % K)
-    return comp_labels
+    """A minibatch's labels as int64, checked by the dataset rule."""
+    return check_dataset("minibatch", labels=comp_labels, K=K)[1]

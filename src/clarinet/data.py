@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complabel import ComplementaryDataset, generate_complementary
+from .complabel import ComplementaryDataset, check_dataset, generate_complementary
 from .errors import ContractError, FormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -26,12 +26,7 @@ class LabeledDataset:
     name: str = ""
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.labels) < 1:
-            raise ContractError("dataset %r is empty" % self.name)
-        if self.labels.min() < 1 or self.labels.max() > self.K:
-            raise ContractError("labels out of range {1..%d}" % self.K)
+        self.features, self.labels = check_dataset(self.name, self.features, self.labels, self.K)
 
     def __len__(self):
         return len(self.labels)
@@ -51,9 +46,7 @@ class UnlabeledDataset:
     name: str = ""
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if len(self.features) < 1:
-            raise ContractError("dataset %r is empty" % self.name)
+        self.features, _ = check_dataset(self.name, self.features)
 
     def __len__(self):
         return len(self.features)

@@ -29,6 +29,9 @@ def weighted_ce(probs: Tensor, labels: np.ndarray, table: np.ndarray) -> Tensor:
     With CE(p, k) = -log clip(p_k, PROB_FLOOR, 1) and ``coef`` the n x K
     rows of the (K+1) x K ``table`` gathered at the 1-based ``labels``,
     entry k is the weighted column sum ``(coef * CE).sum(axis=0)[k]``.
+    The caller checks the labels (``complabel.partition_batch``, once per
+    training run or Monte-Carlo oracle call); unchecked, 0 reads the unused
+    row 0, -1 reads label K's row, and K+1 raises a bare ``IndexError``.
 
     Order contract: the forward scores the batch one block of at most
     ``BLOCK_ROWS`` rows at a time, in one (1 + ``BLOCK_ROWS``) x K buffer.
@@ -96,7 +99,7 @@ def total_comp_loss(probs: Tensor, labels: np.ndarray,
                     objective: str = "complementary") -> Tensor:
     """The K-vector of per-class losses of a classifier objective, one
     ``weighted_ce`` node; K is ``probs``' column count and ``labels`` the
-    batch's 1-based labels, checked by ``complabel.partition_batch``.
+    batch's 1-based labels, which the caller checks (see ``weighted_ce``).
 
     ``objective`` picks the coefficients (``coefficient_table``):
     ``"complementary"`` is the unbiased risk of Ishida et al. (2019), in

@@ -63,19 +63,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise ContractError("learning rates must be positive")
-        if self.t_max < 1:
-            raise ContractError("t_max must be >= 1, got %r" % self.t_max)
+        # each test is written as "not >=", so a NaN fails it too
+        for key, low in (("t_max", 1), ("batch_size", 1), ("seed", 0),
+                         ("lambda_gain", 0), ("hidden", 1), ("d_g", 1)):
+            value = getattr(self, key)
+            if not value >= low:
+                raise ContractError("%s must be >= %d, got %r" % (key, low, value))
         # t_s == t_max keeps the adversary off for the whole run
         if not 0 <= self.t_s <= self.t_max:
             raise ContractError("need 0 <= t_s <= t_max")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1, got %r" % self.batch_size)
         if self.l <= 0:
             raise ContractError("scatter temperature l must be positive")
         if self.variant not in VARIANTS:
             raise ContractError("unknown variant %r" % self.variant)
-        if self.seed < 0:
-            raise ContractError("seed must be >= 0, got %r" % self.seed)
 
 
 @dataclass
@@ -134,13 +134,9 @@ def lambda_schedule(p: float, gain: float = 10.0) -> float:
 # shared helpers
 
 
-def evaluate(model, dataset: LabeledDataset) -> float:
-    """Fraction of argmax predictions matching the true labels."""
-    if isinstance(model, NetworkTriplet):
-        pred = pseudo_label(model, dataset.features)
-    else:
-        pred = model(dataset.features).argmax(axis=1) + 1
-    return float(np.mean(pred == dataset.labels))
+def evaluate(model: NetworkTriplet, dataset: LabeledDataset) -> float:
+    """Fraction of the model's argmax predictions matching the true labels."""
+    return float(np.mean(pseudo_label(model, dataset.features) == dataset.labels))
 
 
 def _classifier_step(triplet, feats, labels, config):

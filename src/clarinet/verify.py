@@ -167,7 +167,7 @@ def monte_carlo_unbiasedness(domain: DiscreteDomain, predictor: np.ndarray,
                                       partition_batch(ybar, K)).data.sum())
 
     ce = _ce_table(predictor)
-    true_risk, _, _ = exact_unbiasedness(domain, predictor)
+    true_risk = float((domain.weights[:, None] * domain.posteriors * ce).sum())
     # the one-batch total is the mean of psi_i = sum_k ell_i(k) - (K-1) ell_i(ybar_i);
     # the row sums are taken once per point and gathered, and ell_i(ybar_i)
     # is gathered from the flat table at xs_i * K + ybar_i - 1, widened to

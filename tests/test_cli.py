@@ -344,6 +344,20 @@ class TestTrain:
         assert "t_max must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("lambda_gain", -1.0, "lambda_gain must be >= 0, got -1.0"),
+        ("hidden", 0, "hidden must be >= 1, got 0"),
+        ("d_g", 0, "d_g must be >= 1, got 0"),
+    ])
+    def test_bad_network_or_schedule_value_exits_2_before_writing(self, tmp_path, capsys,
+                                                                  key, value, shown):
+        # refused by TrainConfig, before any epoch runs or --out is made
+        cfg = write_config(tmp_path, ts=2, **{key: value})
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: %s\n" % shown
+        assert not out.exists()
+
     def test_int_for_a_float_key_is_legal(self, tmp_path):
         cfg = write_config(tmp_path, l=1, weight_decay=0)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -83,6 +85,24 @@ class TestGenerate:
         with pytest.raises(ContractError):
             ComplementaryDataset(features=np.zeros((2, 1)), comp_labels=[1, 2],
                                  K=3, _true_labels=[1, 1])
+
+    @pytest.mark.parametrize("features, comp, true, shown", [
+        (np.zeros((100, 2)), np.full(40, 2), None,
+         "dataset 'd' has 100 rows, complementary labels (40,)"),
+        (np.zeros(3), [1, 1, 1], None, "dataset 'd': features not n x d: (3,)"),
+        (np.zeros((3, 2)), [1, 1, 1], [2], "dataset 'd' has 3 rows, true labels (1,)"),
+        (np.zeros((3, 2)), [1, 1, 1], [2, 3], "dataset 'd' has 3 rows, true labels (2,)"),
+        (np.zeros((3, 2)), [1, 1, 1], [9, 9, 9], "dataset 'd': true labels out of range"),
+    ])
+    def test_rows_and_labels_must_agree(self, features, comp, true, shown):
+        with pytest.raises(ContractError, match=re.escape(shown)):
+            ComplementaryDataset(features=features, comp_labels=comp, K=3, name="d",
+                                 _true_labels=true)
+
+    def test_generated_from_true_labels_of_another_length(self):
+        # the refusal names the labels passed in, not those drawn from them
+        with pytest.raises(ContractError, match=re.escape("3 rows, true labels (2,)")):
+            generate_complementary(np.zeros((3, 2)), [1, 2], 3, np.random.default_rng(0))
 
     def test_empty_dataset_names_itself(self):
         with pytest.raises(ContractError, match="dataset 'held-out' is empty"):

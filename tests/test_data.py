@@ -7,8 +7,8 @@ import pytest
 from scipy import stats
 
 from clarinet.data import (IDX_IMAGES_MAGIC, LabeledDataset, SyntheticPairConfig,
-                           batches, load_idx, make_synthetic_pair, read_csv,
-                           write_csv, write_idx)
+                           UnlabeledDataset, batches, load_idx, make_synthetic_pair,
+                           read_csv, write_csv, write_idx)
 from clarinet.errors import ContractError, FormatError
 
 
@@ -249,6 +249,25 @@ class TestCsv:
             read_csv(path)
         assert str(info.value) == ("%s: data row 2, column 2: %s is not a finite number"
                                    % (path, bad))
+
+
+class TestDatasetRule:
+    def test_rows_and_labels_must_agree(self):
+        # else evaluate would compare 5 predictions with 3 labels
+        with pytest.raises(ContractError, match=r"dataset 'd' has 5 rows, labels \(3,\)"):
+            LabeledDataset(features=np.zeros((5, 2)), labels=[1, 2, 3], K=3, name="d")
+
+    @pytest.mark.parametrize("make", [
+        lambda X: LabeledDataset(features=X, labels=np.ones(6), K=2, name="d"),
+        lambda X: UnlabeledDataset(features=X, name="d"),
+    ])
+    def test_one_dimensional_features_rejected(self, make):
+        with pytest.raises(ContractError, match=r"dataset 'd': features not n x d: \(6,\)"):
+            make(np.zeros(6))
+
+    def test_one_class_rejected(self):
+        with pytest.raises(ContractError, match="dataset 'd': K must be >= 2, got 1"):
+            LabeledDataset(features=np.zeros((3, 2)), labels=[1, 1, 1], K=1, name="d")
 
 
 def test_target_labels_hidden_from_training_view():

@@ -19,7 +19,8 @@ from clarinet.data import (LabeledDataset, SyntheticPairConfig, UnlabeledDataset
 from clarinet.errors import ContractError, NonFiniteValue
 from clarinet.losses import (PROB_FLOOR, adversarial_loss, cross_entropy_to_class,
                              entropy_weight, scatter_map, total_comp_loss)
-from clarinet.models import conditional_feature, predict, pseudo_label
+from clarinet.models import (build_triplet, conditional_feature, default_specs, predict,
+                            pseudo_label)
 from clarinet.train import (VARIANTS, TrainConfig, evaluate, lambda_schedule,
                             sgd_step, train_clarinet, write_metrics_csv,
                             _adversarial_step, _classifier_step, _fresh_triplet)
@@ -290,6 +291,8 @@ class TestAlgorithmMechanics:
             TrainConfig(t_max=0, t_s=0)
         with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
+        with pytest.raises(ContractError, match="lambda_gain must be >= 0, got nan"):
+            TrainConfig(lambda_gain=float("nan"))
 
 
 def per_class_ce_chain(probs, labels):
@@ -425,20 +428,30 @@ class TestTwoStep:
 
 
 class TestEvaluate:
+    @staticmethod
+    def identity_triplet(K):
+        """A triplet that predicts, for a one-hot row, that row's class: its
+        G and F weights are identities and its biases zero."""
+        triplet = build_triplet(*default_specs(K, K, d_g=K, hidden=K), seed=0)
+        for w in triplet.G.weights + triplet.F.weights:
+            w.value[...] = np.eye(K)
+        return triplet
+
     def test_perfect_and_constant_predictors(self):
-        ds = LabeledDataset(features=np.zeros((8, 2)),
-                            labels=np.tile([1, 2, 3, 4], 2), K=4)
-        perfect = lambda X: np.eye(4)[np.tile([0, 1, 2, 3], 2)]
-        constant = lambda X: np.tile(np.eye(4)[0], (len(X), 1))
-        assert evaluate(perfect, ds) == 1.0
-        assert evaluate(constant, ds) == 0.25
+        classes = np.tile([1, 2, 3, 4], 2)
+        ds = LabeledDataset(features=np.eye(4)[classes - 1], labels=classes, K=4)
+        triplet = self.identity_triplet(4)
+        assert evaluate(triplet, ds) == 1.0
+        # F ignores its input and favours class 1
+        triplet.F.weights[0].value[...] = 0.0
+        triplet.F.biases[0].value[0] = 1.0
+        assert evaluate(triplet, ds) == 0.25
 
     def test_hand_confusion_count(self):
-        ds = LabeledDataset(features=np.zeros((10, 1)),
-                            labels=np.array([1, 1, 1, 2, 2, 2, 3, 3, 3, 3]), K=3)
         preds = np.array([1, 1, 2, 2, 2, 3, 3, 3, 1, 3])  # 7 of 10 correct
-        model = lambda X: np.eye(3)[preds - 1]
-        assert evaluate(model, ds) == pytest.approx(0.7)
+        ds = LabeledDataset(features=np.eye(3)[preds - 1],
+                            labels=np.array([1, 1, 1, 2, 2, 2, 3, 3, 3, 3]), K=3)
+        assert evaluate(self.identity_triplet(3), ds) == pytest.approx(0.7)
 
 
 def run_fingerprint(result):

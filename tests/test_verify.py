@@ -283,6 +283,15 @@ class TestMonteCarlo:
         se = psi.std(ddof=1) / np.sqrt(n)
         assert (emp - true_risk) / z == pytest.approx(se, rel=1e-9)
 
+    def test_domain_past_the_enumeration_cap(self):
+        # 2600 x 4 = 10,400 cells: the exact oracle refuses it, and the true
+        # risk here is formed without going through it
+        rng = np.random.default_rng(7)
+        domain = random_domain(rng, 2600, 4)
+        predictor = rng.dirichlet(np.ones(4), size=2600)
+        _, _, z = monte_carlo_unbiasedness(domain, predictor, 2000, seed=0)
+        assert abs(z) < 4.0
+
     def test_z_within_normal_range(self):
         rng = np.random.default_rng(3)
         domain = random_domain(rng, 9, 4)
